@@ -68,9 +68,8 @@ class PricedSpace:
     fixed_cpi: float
     area_grid: np.ndarray
     cpi_grid: np.ndarray
-    # Per-structure CPI contributions in enumeration order; the greedy
-    # marginal-utility path (repro.core.multiopt) optimizes over these
-    # instead of the raveled grids.
+    # Per-structure CPI contributions in enumeration order, for the
+    # per-structure view of :meth:`structure_curves`.
     t_cpi: np.ndarray | None = None
     i_cpi: np.ndarray | None = None
     d_cpi: np.ndarray | None = None
@@ -135,11 +134,11 @@ class PricedSpace:
             (t_power[:, None] + i_power[None, :])[:, :, None] + d_power
         ).ravel()
 
-    def structure_curves(self, with_power: bool = False) -> list:
+    def structure_curves(self) -> list:
         """The three per-structure curves in (tlb, icache, dcache) order.
 
-        This is the view :mod:`repro.core.multiopt` optimizes over.
-        Requires the per-structure CPI arrays (spaces priced by
+        This is the view :mod:`repro.core.multiopt` builds a frontier
+        over.  Requires the per-structure CPI arrays (spaces priced by
         :meth:`Allocator.price`; spaces built by hand without them
         raise).
         """
@@ -150,7 +149,7 @@ class PricedSpace:
                 "priced space lacks per-structure CPI arrays; "
                 "re-price with Allocator.price"
             )
-        powers = self.power_arrays if with_power else (None, None, None)
+        powers = self.power_arrays
         return [
             StructureCurve(
                 "tlb", self.t_area, self.t_cpi, self.tlb_keys, powers[0]
@@ -465,7 +464,7 @@ def pareto_indexed(
 # Ordering contract (tie-breaks at exact-budget boundaries)
 #
 # Every ranking path — rank_priced, rank_indexed, batch_best_indexed,
-# pareto_indexed, and the exact fallbacks below — orders allocations by
+# pareto_indexed, and rank_priced_power below — orders allocations by
 # ascending (cpi, area_rbe, flat enumeration index), where the flat
 # index is (tlb, icache, dcache) position in the priced space's key
 # tuples.  Feasibility at a budget B uses the *reference predicate*
@@ -477,52 +476,16 @@ def pareto_indexed(
 # why the two paths are bit-identical even one ULP either side of a
 # boundary (tests/core/test_tie_breaks.py holds this).
 #
-# The greedy/power paths below use mathematical sums (area_grid /
-# power_grid) instead of the reference predicate: rankings are the same
-# except possibly at budgets within a few ULPs of an entry's area.
-# Callers needing exact boundary semantics use rank_indexed.
+# rank_priced_power uses mathematical sums (area_grid / power_grid)
+# instead of the reference predicate: rankings are the same except
+# possibly at budgets within a few ULPs of an entry's area.  Callers
+# needing exact boundary semantics use rank_indexed.
 # ---------------------------------------------------------------------------
 
 
 def flat_index(priced: PricedSpace, t: int, i: int, d: int) -> int:
     """The flat grid index of a (tlb, icache, dcache) key triple."""
     return (t * len(priced.icache_keys) + i) * len(priced.dcache_keys) + d
-
-
-def rank_greedy(
-    priced: PricedSpace,
-    budget_rbes: float,
-    power_budget_mw: float | None = None,
-) -> list[Allocation]:
-    """The greedy marginal-utility best allocation (top-1).
-
-    Runs :func:`repro.core.multiopt.greedy_allocate` over the space's
-    per-structure curves and materializes the winner straight out of
-    the priced grids, so its (area, cpi) is bit-identical to the
-    exhaustive path picking the same configuration.  The differential
-    suite holds the *choice* identical to :func:`rank_priced`'s top-1
-    across the paper grid (see multiopt's exactness contract).  With a
-    ``power_budget_mw`` the answer is a fast feasible upper bound, not
-    a guaranteed optimum — prefer :func:`rank_auto` for exact
-    semantics.
-
-    Raises:
-        BudgetError: if no combination fits the budget(s).
-    """
-    from repro.core.multiopt import greedy_allocate
-
-    curves = priced.structure_curves(with_power=power_budget_mw is not None)
-    # Pass the space's fixed CPI so greedy's internal totals accumulate
-    # ((fixed + t) + i) + d — bitwise the cpi_grid entries — and its
-    # comparisons resolve ULP-close candidates exactly as the grid does.
-    result = greedy_allocate(
-        curves,
-        budget_rbes,
-        fixed_cpi=priced.fixed_cpi,
-        power_budget=power_budget_mw,
-    )
-    flat = flat_index(priced, *result.choice)
-    return allocations_from_flat(priced, np.asarray([flat], dtype=np.intp))
 
 
 def rank_priced_power(
@@ -536,8 +499,7 @@ def rank_priced_power(
     Same (cpi, area, enumeration) order as :func:`rank_priced`;
     feasibility is the mathematical ``area_grid <= budget and
     power_grid <= power_budget`` (see the ordering contract above —
-    the power axis has no ULP-walked index, so this is the exact-rank
-    fallback the greedy path validates against).
+    the power axis has no ULP-walked index).
 
     Raises:
         BudgetError: if no combination fits the budgets.
@@ -555,39 +517,6 @@ def rank_priced_power(
     if limit is not None:
         ranked = ranked[:limit]
     return allocations_from_flat(priced, ranked)
-
-
-def rank_auto(
-    priced: PricedSpace,
-    budget_rbes: float,
-    limit: int | None = None,
-    power_budget_mw: float | None = None,
-    method: str = "auto",
-) -> list[Allocation]:
-    """Dispatch a ranking to the right backend.
-
-    * no power budget -> :func:`rank_indexed` (ULP-exact, vectorized;
-      ``method="greedy"`` with ``limit == 1`` forces the greedy path,
-      which the differential suite holds identical on the paper grid);
-    * power budget -> :func:`rank_priced_power` (exact).  Greedy under
-      a *joint* area x power budget is a two-constraint knapsack — the
-      hull walk plus repair is a fast upper bound, not an optimum — so
-      it only answers when explicitly forced with ``method="greedy"``
-      and ``limit == 1``.
-
-    ``method`` is "auto" (exact semantics everywhere, greedy only
-    where validated identical), "greedy" (force the heuristic,
-    raising if the query shape doesn't support it), or "exact".
-    """
-    if method not in ("auto", "greedy", "exact"):
-        raise ValueError(f"unknown ranking method {method!r}")
-    if method == "greedy":
-        if limit != 1:
-            raise ValueError("greedy ranking answers top-1 queries only")
-        return rank_greedy(priced, budget_rbes, power_budget_mw)
-    if power_budget_mw is None:
-        return rank_indexed(priced, budget_rbes, limit=limit)
-    return rank_priced_power(priced, budget_rbes, power_budget_mw, limit=limit)
 
 
 class Allocator:

@@ -1,11 +1,11 @@
-"""Two-level (L1/L2) allocation spaces for the greedy optimizer.
+"""Two-level (L1/L2) allocation spaces over the exact frontier.
 
 The paper's exhaustive study stops at a single cache level because the
 cross product is already ~250k points; adding an L2 axis multiplies it
-past what enumeration can reach.  The greedy marginal-utility path
-(:mod:`repro.core.multiopt`) only needs the objective to stay
-*separable* — a fixed term plus one additive CPI contribution per
-structure — so this module builds a four-structure space
+to ~10^7.  The frontier of :mod:`repro.core.multiopt` only needs the
+objective to stay *separable* — a fixed term plus one additive CPI
+contribution per structure — so this module builds a four-structure
+space
 
     [tlb, l1i, l1d, l2]
 
@@ -32,9 +32,12 @@ the single-level question remains the job of
 :class:`repro.core.allocator.Allocator` — the two spaces answer
 different questions and the service layer exposes both.
 
-Enumeration order (the tie-break order of
-:func:`repro.core.multiopt.exhaustive_best` and the greedy repair) is
-the sorted key order fixed by :func:`build_two_level_space`.
+:func:`build_two_level_space` builds the space's exact Pareto frontier
+once; :meth:`TwoLevelSpace.best` answers every area-only and
+area x power query from it, bit-identical to
+:meth:`TwoLevelSpace.best_exhaustive`.  Enumeration order (the
+tie-break order of both) is the sorted key order fixed by
+:func:`build_two_level_space`.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ from repro.core.configs import CacheConfig, TlbConfig
 from repro.core.cpi import CpiModel
 from repro.core.measure import BenefitCurves, StructureCurves
 from repro.core.multiopt import (
-    GreedyResult,
+    Frontier,
+    Selection,
     StructureCurve,
+    build_frontier,
     exhaustive_best,
-    greedy_allocate,
 )
 
 DEFAULT_L2_HIT_CYCLES = 4
@@ -61,6 +65,10 @@ DEFAULT_L2_HIT_CYCLES = 4
 
 DEFAULT_L1_MAX_BYTES = 32 * 1024
 DEFAULT_L2_MIN_BYTES = 16 * 1024
+
+# perfbench's design_sweep times queries by wrapping this name; it keeps
+# its old name until that benchmark is revised.
+greedy_allocate = Frontier.best
 
 
 def _tlb_sort_key(key: tuple) -> tuple:
@@ -72,7 +80,7 @@ def _tlb_sort_key(key: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class TwoLevelSpace:
-    """A priced two-level space ready for greedy or exhaustive search.
+    """A priced two-level space with its exact Pareto frontier.
 
     Attributes:
         structures: the four :class:`StructureCurve`s in enumeration
@@ -81,6 +89,7 @@ class TwoLevelSpace:
             invariant, as in the single-level model).
         l2_hit_cycles: the L1 miss service time baked into the curves.
         os_name / workload: provenance of the measured curves.
+        frontier: the space's exact (area, power, cpi) frontier.
     """
 
     structures: tuple[StructureCurve, ...]
@@ -88,6 +97,7 @@ class TwoLevelSpace:
     l2_hit_cycles: int
     os_name: str
     workload: str
+    frontier: Frontier
 
     @property
     def size(self) -> int:
@@ -96,18 +106,13 @@ class TwoLevelSpace:
 
     def best(
         self, budget_rbes: float, power_budget_mw: float | None = None
-    ) -> GreedyResult:
-        """Greedy best allocation under the budget(s)."""
-        return greedy_allocate(
-            list(self.structures),
-            budget_rbes,
-            fixed_cpi=self.fixed_cpi,
-            power_budget=power_budget_mw,
-        )
+    ) -> Selection:
+        """The optimal allocation under the budget(s), from the frontier."""
+        return greedy_allocate(self.frontier, budget_rbes, power_budget_mw)
 
     def best_exhaustive(
         self, budget_rbes: float, power_budget_mw: float | None = None
-    ) -> GreedyResult:
+    ) -> Selection:
         """Exhaustive best allocation — the differential reference.
 
         Chunked-vectorized, but still O(size); on the full two-level
@@ -137,7 +142,6 @@ def build_two_level_space(
     l2_hit_cycles: int = DEFAULT_L2_HIT_CYCLES,
     l1_max_bytes: int = DEFAULT_L1_MAX_BYTES,
     l2_min_bytes: int = DEFAULT_L2_MIN_BYTES,
-    with_power: bool = True,
 ) -> TwoLevelSpace:
     """Build the four-structure two-level space from measured curves.
 
@@ -161,11 +165,7 @@ def build_two_level_space(
     t_cpi = np.array(
         [model.tlb_cpi(curves, TlbConfig(n, a)) for n, a in tlb_keys]
     )
-    t_power = (
-        np.array([tlb_power_mw(n, a) for n, a in tlb_keys])
-        if with_power
-        else None
-    )
+    t_power = np.array([tlb_power_mw(n, a) for n, a in tlb_keys])
 
     l1_keys = [k for k in cache_keys if k[0] <= l1_max_bytes]
     l2_keys = [k for k in cache_keys if k[0] >= l2_min_bytes]
@@ -185,8 +185,6 @@ def build_two_level_space(
         return np.array([cache_area_rbe(*k) for k in keys])
 
     def cache_powers(keys):
-        if not with_power:
-            return None
         return np.array([cache_power_mw(*k) for k in keys])
 
     lpi = curves.loads_per_instr
@@ -214,12 +212,14 @@ def build_two_level_space(
             cache_powers(l2_keys),
         ),
     )
+    fixed_cpi = 1.0 + curves.other_cpi + curves.wb_stall_per_instr
     return TwoLevelSpace(
         structures=structures,
-        fixed_cpi=1.0 + curves.other_cpi + curves.wb_stall_per_instr,
+        fixed_cpi=fixed_cpi,
         l2_hit_cycles=l2_hit_cycles,
         os_name=curves.os_name,
         workload=(
             "suite" if isinstance(curves, BenefitCurves) else curves.workload
         ),
+        frontier=build_frontier(list(structures), fixed_cpi),
     )

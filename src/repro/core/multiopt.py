@@ -1,82 +1,57 @@
-"""Greedy marginal-utility allocation over per-structure curves.
+"""Exact allocation over per-structure curves from one Pareto frontier.
 
 :meth:`Allocator.rank` answers the paper's allocation question by
-exhaustively enumerating the (TLB, I-cache, D-cache) cross product —
-fine for Table 5's ~250k points, hopeless once the design space grows
-another axis (an L2, a power budget).  This module answers the same
-question the way lumos's ``optimize_alloc`` does: spend the next rbe of
-area on whichever structure currently buys the most CPI per rbe.
+ranking every (TLB, I-cache, D-cache) point that fits the budget —
+fine for Table 5's ~250k points, too slow to repeat per query once the
+space grows another axis (the two-level space of
+:mod:`repro.core.hierarchy` has ~10^7 points).  This module answers the
+same question exactly from the space's Pareto frontier, built once and
+valid for every budget.
 
-The objective is *separable*: total CPI is a fixed term plus one
-additive contribution per structure, and total area (and power) is a
-plain sum.  That makes three classic moves available:
+The objective is *separable*: total area, power and CPI are left folds
+over the structures in enumeration order — area and power start at
+0.0, CPI at ``fixed_cpi`` — exactly as :func:`exhaustive_best`
+accumulates them.  :func:`build_frontier` runs that fold one structure
+at a time over *partial* selections (one design point per structure so
+far).  After each stage it drops every partial q for which some partial
+p at the same stage has a lower flat prefix index and area, power and
+cpi each <= q's.  Float addition rounds monotonically, so after any
+common suffix p's totals stay <= q's: p's completion fits whenever q's
+does and precedes it in the exhaustive (cpi, area, flat index) order.
+No optimum is ever dropped, whether or not a power budget applies (an
+area-only optimum is not dominated on all three axes either), so one
+frontier answers both query kinds bit-identically to
+:func:`exhaustive_best`.
 
-* **staircase pruning** — within one structure, a design point
-  dominated by another (<= area, <= cpi, and <= power when a power
-  budget applies) can never appear in an optimal allocation, so each
-  curve first collapses to its (area-ascending, cpi-descending)
-  Pareto staircase;
-* **convexification** — the greedy walk follows each staircase's lower
-  convex hull, where marginal benefit |dCPI/dArea| is non-increasing,
-  so a locally steepest step is globally justified for the continuous
-  relaxation;
-* **bounded local-search repair** — the discrete optimum can sit off
-  the hull (a knapsack effect), so a bounded coordinate-descent +
-  pairwise pass over the *full staircases* runs afterwards, fixing the
-  hull's rounding without ever materializing the cross product.
+A query (:meth:`Frontier.best`) takes the first frontier point, in
+(cpi, area, flat) order, that fits the budget(s).
 
-Exactness contract (documented, tested): under a *single area budget*,
-on every validated space the greedy answer's CPI matches the
-exhaustive optimum's CPI to within ``VALIDATED_RELATIVE_GAP``; on the
-paper's full Table 5 grid the differential suite additionally holds it
-*bit-identical* for every budget in the sweep (areas and CPIs are
-accumulated in the same left-associated float order the priced grids
-use, so agreeing on the chosen configuration means agreeing on every
-output bit).  Under a *joint area x power budget* the problem is a
-two-constraint knapsack and the hull walk plus repair is a fast
-feasible **upper bound**, not an optimum — the property suite holds it
-feasible and never better than exhaustive, and
-:func:`repro.core.allocator.rank_auto` keeps exact semantics by
-dispatching power-budget queries to the exact ranking unless the
-heuristic is explicitly forced.  Greedy feasibility is the
-mathematical ``sum(area) <= budget``; it does not
-replay the reference ranking's ``budget_left`` float rounding, so a
-budget sitting within a few ULPs of a configuration's area can be
-classified differently — callers needing ULP-exact boundary semantics
-fall back to :func:`~repro.core.allocator.rank_indexed` (see
-``rank_auto`` there).
-
-Cost: building hulls is ``O(N log N)`` in the number of per-structure
-points; one budget query is ``O(hull points + repair work)`` — on the
-two-level spaces of :mod:`repro.core.hierarchy` that is microseconds
-against seconds-to-infeasible for exhaustive enumeration (the
-``alloc_scaling`` section of ``BENCH_perf.json`` tracks the ratio).
+Feasibility here is the summed-total predicate ``area <= budget`` of
+:func:`exhaustive_best`.  The single-level
+:class:`~repro.core.allocator.BudgetIndex` keeps the reference
+predicate ``budget_left = (B - t_area) - i_area``, which is not a
+function of a partial's summed area, so dominance on partial sums does
+not carry over to it; single-level queries stay on that index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import BudgetError
 
-VALIDATED_RELATIVE_GAP = 1e-9
-"""Maximum relative CPI gap (greedy vs exhaustive optimum) observed on
-any validated *area-only* space; the differential tests assert the gap
-stays under this bound and the property tests assert greedy never
-*beats* the exhaustive optimum (which would indicate a feasibility
-bug).  Joint area x power budgets carry no such bound — there greedy
-is a documented heuristic upper bound (see the module docstring)."""
+_BLOCK = 1024
+"""Candidates generated and pruned per step of a frontier stage."""
 
-DEFAULT_REPAIR_ROUNDS = 4
-"""Bounded local-search repair: maximum coordinate-descent sweeps
-(each followed by one pairwise pass) before the result is accepted."""
+_CHUNK = 1 << 16
+"""Element bound on each pairwise-comparison temporary."""
 
 
 @dataclass(frozen=True)
 class StructureCurve:
-    """One structure's design points: parallel area/CPI (and power) arrays.
+    """One structure's design points: parallel area/CPI/power arrays.
 
     Attributes:
         name: structure label ("tlb", "icache", "l2", ...).
@@ -84,22 +59,20 @@ class StructureCurve:
         cpis: per-point CPI contribution (float64).
         keys: per-point config objects/labels, same order (used to
             materialize the chosen allocation).
-        powers: optional per-point power in mW; required when a power
-            budget is in play.
+        powers: per-point power in mW (float64).
     """
 
     name: str
     areas: np.ndarray
     cpis: np.ndarray
     keys: tuple
-    powers: np.ndarray | None = None
+    powers: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.areas) == len(self.cpis) == len(self.keys)):
+        n = len(self.areas)
+        if not (n == len(self.cpis) == len(self.keys) == len(self.powers)):
             raise ValueError(f"curve {self.name!r}: mismatched array lengths")
-        if self.powers is not None and len(self.powers) != len(self.areas):
-            raise ValueError(f"curve {self.name!r}: mismatched power length")
-        if len(self.areas) == 0:
+        if n == 0:
             raise ValueError(f"curve {self.name!r}: empty design-point set")
 
     @property
@@ -107,514 +80,213 @@ class StructureCurve:
         return len(self.areas)
 
 
-@dataclass(frozen=True)
-class _PreparedCurve:
-    """A curve reduced to its staircase and lower convex hull.
-
-    ``stair`` holds indices into the original arrays, area-ascending
-    with strictly decreasing cpi (ties resolved to the first
-    enumeration index).  ``hull`` is the subset of staircase *positions*
-    on the lower convex hull of (area, cpi).
-    """
-
-    curve: StructureCurve
-    stair: np.ndarray  # original indices, area ascending
-    stair_areas: np.ndarray
-    stair_cpis: np.ndarray
-    stair_powers: np.ndarray | None
-    hull: np.ndarray  # positions into stair
-
-
-def _staircase(curve: StructureCurve, use_power: bool) -> _PreparedCurve:
-    """Collapse a curve to its dominance staircase (and its hull).
-
-    Without a power budget a point survives iff no other point has
-    <= area and < cpi (ties keep the lowest enumeration index, matching
-    the exhaustive ranking's tie-break).  With one, power is a third
-    resource and simple 2-D pruning is unsafe, so only exact (area,
-    power)-duplicates are pruned; the staircase then keeps any point
-    that is not dominated on (area, power, cpi).
-    """
-    areas, cpis = curve.areas, curve.cpis
-    n = len(areas)
-    order = np.lexsort((np.arange(n), cpis, areas))  # by (area, cpi, idx)
-    if not use_power or curve.powers is None:
-        best = np.inf
-        keep: list[int] = []
-        for pos in order.tolist():
-            if cpis[pos] < best:
-                keep.append(pos)
-                best = cpis[pos]
-        stair = np.asarray(keep, dtype=np.intp)
-        stair_powers = None
-    else:
-        powers = curve.powers
-        keep = []
-        for pos in order.tolist():
-            # Area is non-decreasing along `order`, so an earlier kept
-            # point dominates iff it also wins on power and cpi.
-            dominated = any(
-                powers[q] <= powers[pos] and cpis[q] <= cpis[pos]
-                for q in keep
-            )
-            if not dominated:
-                keep.append(pos)
-        stair = np.asarray(keep, dtype=np.intp)
-        stair_powers = powers[stair]
-
-    stair_areas = areas[stair]
-    stair_cpis = cpis[stair]
-    # Lower convex hull over (area, cpi): monotone chain keeping points
-    # below every chord.  Equal-area runs are impossible on the 2-D
-    # staircase; with power they can occur, so the hull walk skips
-    # zero-width steps (they are reachable to repair, not to greedy).
-    hull: list[int] = []
-    for pos in range(len(stair)):
-        a, c = stair_areas[pos], stair_cpis[pos]
-        while len(hull) >= 2:
-            a1, c1 = stair_areas[hull[-2]], stair_cpis[hull[-2]]
-            a2, c2 = stair_areas[hull[-1]], stair_cpis[hull[-1]]
-            # pop hull[-1] when it lies on/above the chord hull[-2]->p
-            if (a2 - a1) * (c - c1) - (c2 - c1) * (a - a1) <= 0:
-                hull.pop()
-            else:
-                break
-        if hull and stair_areas[hull[-1]] == a:
-            # zero-width step: keep the lower-cpi point only
-            if c < stair_cpis[hull[-1]]:
-                hull[-1] = pos
-            continue
-        hull.append(pos)
-    return _PreparedCurve(
-        curve=curve,
-        stair=stair,
-        stair_areas=stair_areas,
-        stair_cpis=stair_cpis,
-        stair_powers=stair_powers,
-        hull=np.asarray(hull, dtype=np.intp),
-    )
-
-
 @dataclass
-class GreedyResult:
-    """Outcome of one greedy allocation.
+class Selection:
+    """One allocation: a design point per structure and its totals.
 
     Attributes:
-        choice: per-structure index into the *original* curve arrays.
+        choice: per-structure index into the curve arrays.
         keys: the chosen per-structure config objects.
         area: total area, accumulated left-to-right over structures
             (bit-identical to the priced grids' float order).
         cpi: total CPI, ``fixed_cpi`` first then per-structure terms
             left-to-right (same bit-order guarantee).
-        power: total power, or None when no curve carries power.
-        steps: greedy hull steps taken.
-        repair_moves: selections changed by the repair pass.
+        power: total power, accumulated like area.
     """
 
     choice: list[int]
     keys: tuple
     area: float
     cpi: float
-    power: float | None
-    steps: int = 0
-    repair_moves: int = 0
-    stats: dict = field(default_factory=dict)
+    power: float
 
 
-def _totals(
-    prepared: list[_PreparedCurve], choice_pos: list[int], fixed_cpi: float
-) -> tuple[float, float, float | None]:
-    """Left-associated totals for a staircase-position selection."""
-    area = 0.0
-    cpi = fixed_cpi
-    power: float | None = 0.0
-    have_power = all(p.curve.powers is not None for p in prepared)
-    for prep, pos in zip(prepared, choice_pos):
-        area = area + float(prep.stair_areas[pos])
-        cpi = cpi + float(prep.stair_cpis[pos])
-        if have_power:
-            power = power + float(prep.curve.powers[prep.stair[pos]])
-    return area, cpi, (power if have_power else None)
+def _unravel(structures, flat: int) -> list[int]:
+    """Per-structure indices of a flat (most-significant-first) index."""
+    choice = []
+    for curve in reversed(structures):
+        flat, idx = divmod(flat, curve.size)
+        choice.append(idx)
+    return choice[::-1]
 
 
-def _feasible(
-    prepared: list[_PreparedCurve],
-    choice_pos: list[int],
-    budget: float,
-    power_budget: float | None,
-) -> bool:
-    area, _, power = _totals(prepared, choice_pos, 0.0)
-    if area > budget:
-        return False
-    if power_budget is not None:
-        if power is None:
-            raise ValueError(
-                "a power budget requires power data on every curve"
-            )
-        if power > power_budget:
-            return False
-    return True
-
-
-def _seek_feasible(
-    prepared: list[_PreparedCurve],
-    budget: float,
-    power_budget: float,
-    rounds: int = 8,
-) -> list[int] | None:
-    """Search for any jointly feasible selection by coordinate descent
-    on the normalized constraint violation.
-
-    Starts from the min-area corner and repeatedly re-picks one
-    structure to minimize ``max(0, area_excess)/budget + max(0,
-    power_excess)/power_budget``; reaching zero violation is a feasible
-    point (verified exactly by the caller).  A heuristic — it can miss
-    a feasible point, which is within the documented joint-budget
-    contract — but it covers the common case where neither the
-    min-area nor the min-power corner fits while a mixed point does.
-    """
-    k = len(prepared)
-    choice = [int(np.argmin(p.stair_areas)) for p in prepared]
-
-    def violation(assign: list[int]) -> float:
-        area, _, power = _totals(prepared, assign, 0.0)
-        excess = max(0.0, area - budget) / max(budget, 1e-12)
-        excess += max(0.0, power - power_budget) / max(power_budget, 1e-12)
-        return excess
-
-    current = violation(choice)
-    for _ in range(max(rounds, 1)):
-        if current <= 0.0:
-            return choice
-        moved = False
-        for s in range(k):
-            best_pos, best_v = choice[s], current
-            saved = choice[s]
-            for pos in range(len(prepared[s].stair)):
-                if pos == saved:
-                    continue
-                choice[s] = pos
-                v = violation(choice)
-                if v < best_v:
-                    best_pos, best_v = pos, v
-            choice[s] = best_pos
-            if best_pos != saved:
-                current = best_v
-                moved = True
-        if not moved:
-            break
-    return choice if current <= 0.0 else None
-
-
-def greedy_allocate(
-    structures: list[StructureCurve],
-    budget: float,
-    fixed_cpi: float = 0.0,
-    power_budget: float | None = None,
-    repair_rounds: int = DEFAULT_REPAIR_ROUNDS,
-) -> GreedyResult:
-    """Allocate ``budget`` rbe across structures by marginal utility.
-
-    Starts every structure at its cheapest staircase point, then
-    repeatedly spends the remaining budget on the hull step with the
-    steepest CPI-per-rbe payoff (ties broken by structure order), and
-    finishes with the bounded repair pass.  With ``power_budget`` set,
-    a step must fit both budgets and staircases keep power-relevant
-    points (see :func:`_staircase`).
-
-    Raises:
-        BudgetError: when even the cheapest combination does not fit.
-        ValueError: power budget requested but a curve lacks powers.
-    """
-    use_power = power_budget is not None
-    if use_power and any(s.powers is None for s in structures):
-        raise ValueError("a power budget requires power data on every curve")
-    prepared = [_staircase(s, use_power) for s in structures]
-
-    # Start from the minimum-area corner.  With a power budget the
-    # min-area point may be power-infeasible even though another fits
-    # (and vice versa), so fall back to the min-power corner and then
-    # to a violation-minimizing coordinate descent before giving up —
-    # joint feasibility is itself a 2-constraint search, and a point
-    # can fit both budgets while fitting neither corner.
-    choice = [int(p.hull[0]) for p in prepared]
-    if not _feasible(prepared, choice, budget, power_budget):
-        if use_power:
-            alt = [int(np.argmin(p.stair_powers)) for p in prepared]
-            if not _feasible(prepared, alt, budget, power_budget):
-                alt = _seek_feasible(prepared, budget, power_budget)
-            if alt is not None and _feasible(
-                prepared, alt, budget, power_budget
-            ):
-                choice = alt
-            else:
-                raise BudgetError(
-                    f"no configuration fits within {budget} rbes"
-                    f" and {power_budget} mW"
-                )
-        else:
-            raise BudgetError(f"no configuration fits within {budget} rbes")
-
-    # Greedy hull walk: hull_next[s] = position of choice[s] in hull,
-    # advanced one hull point at a time.
-    hull_pos = []
-    for prep, pos in zip(prepared, choice):
-        where = np.searchsorted(prep.hull, pos)
-        hull_pos.append(int(where) if where < len(prep.hull) and prep.hull[where] == pos else -1)
-
-    steps = 0
-    while True:
-        best_slope = 0.0
-        best_s = -1
-        for s, prep in enumerate(prepared):
-            hp = hull_pos[s]
-            if hp < 0 or hp + 1 >= len(prep.hull):
-                continue
-            cur, nxt = prep.hull[hp], prep.hull[hp + 1]
-            trial = list(choice)
-            trial[s] = int(nxt)
-            if not _feasible(prepared, trial, budget, power_budget):
-                continue
-            da = float(prep.stair_areas[nxt] - prep.stair_areas[cur])
-            dc = float(prep.stair_cpis[nxt] - prep.stair_cpis[cur])
-            slope = dc / da  # negative; steeper = more negative
-            if slope < best_slope:
-                best_slope = slope
-                best_s = s
-        if best_s < 0:
-            break
-        hull_pos[best_s] += 1
-        choice[best_s] = int(prepared[best_s].hull[hull_pos[best_s]])
-        steps += 1
-
-    repair_moves = _repair(
-        prepared, choice, budget, power_budget, repair_rounds
-    )
-
-    area, cpi, power = _totals(prepared, choice, fixed_cpi)
-    orig = [int(p.stair[pos]) for p, pos in zip(prepared, choice)]
-    return GreedyResult(
-        choice=orig,
-        keys=tuple(
-            s.keys[i] for s, i in zip(structures, orig)
-        ),
-        area=area,
-        cpi=cpi,
-        power=power if all(s.powers is not None for s in structures) else None,
-        steps=steps,
-        repair_moves=repair_moves,
-        stats={
-            "stair_sizes": [int(len(p.stair)) for p in prepared],
-            "hull_sizes": [int(len(p.hull)) for p in prepared],
-        },
+def _nothing_fits(budget: float, power_budget: float | None) -> BudgetError:
+    return BudgetError(
+        f"no configuration fits within {budget} rbes"
+        + (f" and {power_budget} mW" if power_budget is not None else "")
     )
 
 
-def _repair(
-    prepared: list[_PreparedCurve],
-    choice: list[int],
-    budget: float,
-    power_budget: float | None,
-    rounds: int,
-) -> int:
-    """Bounded local search over the full staircases (in place).
+def _le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of ``a <= b`` on all three rows (area, power, cpi); the
+    rows broadcast against each other."""
+    return (a[0] <= b[0]) & (a[1] <= b[1]) & (a[2] <= b[2])
 
-    Each round runs one coordinate-descent sweep (re-optimize every
-    structure alone, vectorized over its staircase) and one *anchored
-    descent* sweep: for every staircase point of every structure, pin
-    the structure there and coordinate-descend all the others from the
-    current choice, keeping the best full assignment seen.  Anchoring
-    escapes local minima that single and pairwise moves cannot (an
-    optimum differing from the hull walk in three or more coordinates
-    at once).  Stops early when a full round changes nothing.  Work is
-    bounded by ``rounds * (total_stair_points * k^2 * max_stair)``
-    comparisons with k structures — independent of the cross-product
-    size.
+
+def _earlier_dominated(points: np.ndarray) -> np.ndarray:
+    """Columns of ``points`` (3 x n, in flat order) that some earlier
+    column is <= on every row."""
+    n = points.shape[1]
+    rank = np.arange(n)
+    out = np.zeros(n, dtype=bool)
+    step = max(1, _CHUNK // max(n, 1))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        le = _le(points[:, None, :], points[:, rows, None])
+        out[rows] = (le & (rank < rank[rows, None])).any(axis=1)
+    return out
+
+
+class _Front:
+    """The points one stage has kept so far, in flat order.
+
+    Candidates arrive in flat order, so every kept point has a lower
+    flat index than any later candidate and the dominance test against
+    them is plain (area, power, cpi) weak dominance.  Each point either
+    is kept or has a kept dominator, so testing against the kept points
+    alone is exact.
     """
-    k = len(prepared)
-    moves = 0
 
-    # Without a power budget best_single reduces to "min CPI among
-    # stair points with area <= leftover"; staircases are already
-    # area-ascending, so a running argmin answers it in O(log n).
-    # The running scan keeps strict improvements only, so ties resolve
-    # to the earliest point — min area (ascending), then lowest
-    # enumeration index — the exhaustive tie-break on one axis.
-    prefix_best: list[np.ndarray] = []
-    if power_budget is None:
-        for prep in prepared:
-            best_pos = np.empty(len(prep.stair), dtype=np.intp)
-            run = 0
-            for pos in range(len(prep.stair)):
-                if prep.stair_cpis[pos] < prep.stair_cpis[run]:
-                    run = pos
-                best_pos[pos] = run
-            prefix_best.append(best_pos)
+    def __init__(self):
+        self.points = np.empty((3, 0))
+        self.flat = np.empty(0, dtype=np.int64)
+        self._minima = None
 
-    def best_single(s: int, assign: list[int]) -> int | None:
-        """Best staircase position for s holding the others at ``assign``.
+    def extend(self, points: np.ndarray, flat: np.ndarray) -> None:
+        """Keep the candidates no kept or earlier candidate dominates."""
+        fresh = np.flatnonzero(~self._dominated(points))
+        points, flat = points[:, fresh], flat[fresh]
+        fresh = ~_earlier_dominated(points)
+        if fresh.any():
+            self.points = np.concatenate((self.points, points[:, fresh]), 1)
+            self.flat = np.concatenate((self.flat, flat[fresh]))
+            self._minima = None
 
-        Feasibility must be decided by the same left-associated totals
-        the exhaustive reference uses: at an exact-budget boundary the
-        mathematical margin ``budget - sum(others)`` can round an ULP
-        below the true leftover and reject a combination whose grid
-        total equals the budget exactly.  So the margin only *guesses*
-        the cutoff; the boundary is then adjusted with exact
-        ``_feasible`` checks (float accumulation is monotone, so the
-        feasible set stays a prefix of the area-sorted staircase).
+    def _running_minima(self) -> list:
+        """Per row k: the kept points' sorted k values, and for each
+        other row j the running argmin of j along that order."""
+        if self._minima is None:
+            self._minima = []
+            for k in range(3):
+                order = np.argsort(self.points[k], kind="stable")
+                argmin = {}
+                for j in {0, 1, 2} - {k}:
+                    col = self.points[j, order]
+                    at_min = col == np.minimum.accumulate(col)
+                    last = np.where(at_min, np.arange(len(col)), 0)
+                    argmin[j] = order[np.maximum.accumulate(last)]
+                self._minima.append((self.points[k, order], argmin))
+        return self._minima
+
+    def _dominated(self, queries: np.ndarray) -> np.ndarray:
+        """Mask of queries some kept point is <= on every row.
+
+        Staircase filters decide most queries: for each ordered pair of
+        rows (k, j), the kept point of least j among those with k <=
+        the query's k either dominates the query (a witness) or proves
+        that no kept point can (its j already exceeds the query's).
+        The rest are compared with every kept point, in bounded chunks.
         """
-        prep = prepared[s]
-        base_area = 0.0
-        base_power = 0.0 if power_budget is not None else None
-        for u in range(k):
-            if u == s:
-                continue
-            base_area += float(prepared[u].stair_areas[assign[u]])
-            if power_budget is not None:
-                base_power += float(prepared[u].stair_powers[assign[u]])
-        trial = list(assign)
+        out = np.zeros(queries.shape[1], dtype=bool)
+        if not len(self.flat):
+            return out
+        possible = np.ones_like(out)
+        for k, (keys, argmin) in enumerate(self._running_minima()):
+            pos = np.searchsorted(keys, queries[k], "right") - 1
+            possible &= pos >= 0
+            for j, run in argmin.items():
+                witness = self.points[:, run[np.maximum(pos, 0)]]
+                possible &= witness[j] <= queries[j]
+                out |= _le(witness, queries)
+        out &= possible
+        undecided = np.flatnonzero(possible & ~out)
+        step = max(1, _CHUNK // len(self.flat))
+        for start in range(0, len(undecided), step):
+            cols = undecided[start:start + step]
+            le = _le(self.points[:, None, :], queries[:, cols, None])
+            out[cols] = le.any(axis=1)
+        return out
 
-        def fits(pos: int) -> bool:
-            trial[s] = pos
-            return _feasible(prepared, trial, budget, power_budget)
 
-        if power_budget is None:
-            j = int(
-                np.searchsorted(prep.stair_areas, budget - base_area, "right")
-            ) - 1
-            while j + 1 < len(prep.stair) and fits(j + 1):
-                j += 1
-            while j >= 0 and not fits(j):
-                j -= 1
-            if j < 0:
-                return None
-            return int(prefix_best[s][j])
-        # Power case: an ULP-loosened margin mask proposes candidates;
-        # each winner is verified exactly before acceptance.
-        area_slack = 1e-9 * (1.0 + abs(budget))
-        power_slack = 1e-9 * (1.0 + abs(power_budget))
-        mask = prep.stair_areas <= budget - base_area + area_slack
-        mask &= prep.stair_powers <= power_budget - base_power + power_slack
-        if not mask.any():
-            return None
-        cand = np.flatnonzero(mask)
-        # min cpi, then min area, then lowest enumeration index — the
-        # exhaustive ranking's tie-break restricted to one axis.
-        order = np.lexsort(
-            (cand, prep.stair_areas[cand], prep.stair_cpis[cand])
+@dataclass(frozen=True)
+class Frontier:
+    """The exact Pareto frontier of a separable space.
+
+    Attributes:
+        structures: the curves, in enumeration order.
+        points: 3 x n totals (area, power, cpi) of the frontier
+            points, columns sorted by (cpi, area, flat).
+        flat: each point's flat index into the cross product.
+    """
+
+    structures: tuple[StructureCurve, ...]
+    points: np.ndarray
+    flat: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.flat)
+
+    def best(
+        self, budget: float, power_budget: float | None = None
+    ) -> Selection:
+        """The exhaustive optimum under ``budget`` (and ``power_budget``).
+
+        Raises:
+            BudgetError: when nothing fits.
+        """
+        fits = self.points[0] <= budget
+        if power_budget is not None:
+            fits &= self.points[1] <= power_budget
+        i = int(np.argmax(fits))
+        if not fits[i]:
+            raise _nothing_fits(budget, power_budget)
+        choice = _unravel(self.structures, int(self.flat[i]))
+        area, power, cpi = (float(v) for v in self.points[:, i])
+        return Selection(
+            choice=choice,
+            keys=tuple(s.keys[c] for s, c in zip(self.structures, choice)),
+            area=area,
+            cpi=cpi,
+            power=power,
         )
-        for idx in order:
-            pos = int(cand[idx])
-            if fits(pos):
-                return pos
-        return None
 
-    for _ in range(max(rounds, 0)):
-        changed = False
-        # --- coordinate descent ---------------------------------------
-        for s in range(k):
-            pos = best_single(s, choice)
-            if pos is not None and prepared[s].stair_cpis[pos] < prepared[s].stair_cpis[choice[s]]:
-                choice[s] = pos
-                changed = True
-                moves += 1
-        # --- anchored descent sweep -----------------------------------
-        def stair_sum(assign: list[int]) -> tuple[float, float]:
-            area = cpi = 0.0
-            for u in range(k):
-                area += float(prepared[u].stair_areas[assign[u]])
-                cpi += float(prepared[u].stair_cpis[assign[u]])
-            return area, cpi
 
-        def descend(assign: list[int], pinned: int) -> None:
-            """Local search over all structures but ``pinned``:
-            coordinate descent to a fixpoint, then pairwise trades
-            (shrink one structure to grow another) until stable."""
-            free = [t for t in range(k) if t != pinned]
-            for _ in range(2 * k):
-                moved = False
-                for t in free:
-                    pos = best_single(t, assign)
-                    if pos is not None and (
-                        prepared[t].stair_cpis[pos]
-                        < prepared[t].stair_cpis[assign[t]]
-                    ):
-                        assign[t] = pos
-                        moved = True
-                if moved:
-                    continue
-                # Pairwise: move a anywhere on its staircase, re-derive b.
-                for a in free:
-                    for bst in free:
-                        if bst == a:
-                            continue
-                        cur = (
-                            prepared[a].stair_cpis[assign[a]]
-                            + prepared[bst].stair_cpis[assign[bst]]
-                        )
-                        for ap in range(len(prepared[a].stair)):
-                            trial = list(assign)
-                            trial[a] = ap
-                            # Quick reject: with b at its cheapest, the
-                            # trial must fit (exact totals, like every
-                            # other feasibility decision here).
-                            trial[bst] = min_area_pos[bst]
-                            if not _feasible(
-                                prepared, trial, budget, power_budget
-                            ):
-                                continue
-                            trial[bst] = assign[bst]
-                            bp = best_single(bst, trial)
-                            if bp is None:
-                                continue
-                            pair = (
-                                prepared[a].stair_cpis[ap]
-                                + prepared[bst].stair_cpis[bp]
-                            )
-                            if pair < cur:
-                                assign[a], assign[bst] = ap, bp
-                                cur = pair
-                                moved = True
-                if not moved:
-                    break
+def build_frontier(
+    structures: list[StructureCurve], fixed_cpi: float = 0.0
+) -> Frontier:
+    """Build the exact frontier of ``structures`` stage by stage.
 
-        min_area_pos = [
-            int(np.argmin(prep.stair_areas)) for prep in prepared
-        ]
-        cur_area, cur_cpi = stair_sum(choice)
-        best_assign = None
-        best_key = (cur_cpi, cur_area, tuple(choice))
-        for s in range(k):
-            for sp in range(len(prepared[s].stair)):
-                assign = list(choice)
-                assign[s] = sp
-                if not _feasible(prepared, assign, budget, power_budget):
-                    # Restart the others from their cheapest points;
-                    # if even that does not fit, this anchor is dead.
-                    assign = list(min_area_pos)
-                    assign[s] = sp
-                    if not _feasible(prepared, assign, budget, power_budget):
-                        continue
-                descend(assign, s)
-                a_area, a_cpi = stair_sum(assign)
-                key = (a_cpi, a_area, tuple(assign))
-                if key < best_key:
-                    best_key = key
-                    best_assign = assign
-        if best_assign is not None and best_assign != choice:
-            choice[:] = best_assign
-            changed = True
-            moves += 1
-        if not changed:
-            break
-    return moves
+    Each structure is first pruned against its own lower-index points
+    (the same dominance, so the same proof); each stage then pairs the
+    kept partials with the kept points one block of partial rows at a
+    time, so every candidate array stays near ``_BLOCK`` points.
+    """
+    points = np.array([[0.0], [0.0], [fixed_cpi]])
+    flat = np.zeros(1, dtype=np.int64)
+    for curve in structures:
+        own = _Front()
+        own.extend(
+            np.stack((curve.areas, curve.powers, curve.cpis)),
+            np.arange(curve.size, dtype=np.int64),
+        )
+        stage = _Front()
+        rows = max(1, _BLOCK // len(own.flat))
+        for start in range(0, len(flat), rows):
+            part = slice(start, start + rows)
+            stage.extend(
+                (points[:, part, None] + own.points[:, None, :]).reshape(3, -1),
+                (flat[part, None] * curve.size + own.flat).ravel(),
+            )
+        points, flat = stage.points, stage.flat
+    order = np.lexsort((flat, points[0], points[2]))
+    return Frontier(tuple(structures), points[:, order], flat[order])
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive reference: the brute force the greedy path escapes.  Kept
+# Exhaustive reference: the brute force the frontier is held to.  Kept
 # vectorized (chunked broadcast over the cross product) so differential
 # tests and the alloc_scaling bench can afford spaces up to ~10^7
-# points; beyond that it is the demonstrably infeasible baseline.
+# points.
 
 _EXHAUSTIVE_CHUNK = 1 << 22
 
@@ -624,12 +296,12 @@ def exhaustive_best(
     budget: float,
     fixed_cpi: float = 0.0,
     power_budget: float | None = None,
-) -> GreedyResult:
+) -> Selection:
     """The exact optimum by enumerating the full cross product.
 
     Float accumulation is left-associated over structures in order, so
     the reported (area, cpi) of any selection is bit-identical to the
-    greedy path's totals for the same selection (and, for the 3-deep
+    frontier's totals for the same selection (and, for the 3-deep
     single-level space, to ``PricedSpace``'s grids).  Ties on (cpi,
     area) resolve to the lowest flat enumeration index, matching
     :func:`~repro.core.allocator.rank_priced`.
@@ -637,8 +309,6 @@ def exhaustive_best(
     Raises:
         BudgetError: when nothing fits.
     """
-    if power_budget is not None and any(s.powers is None for s in structures):
-        raise ValueError("a power budget requires power data on every curve")
     sizes = [s.size for s in structures]
     total = int(np.prod(sizes))
     best_cpi = np.inf
@@ -686,53 +356,23 @@ def exhaustive_best(
             best_flat = int(flat[pick])
 
     if best_flat < 0:
-        raise BudgetError(
-            f"no configuration fits within {budget} rbes"
-            + (f" and {power_budget} mW" if power_budget is not None else "")
-        )
+        raise _nothing_fits(budget, power_budget)
     # Recover per-structure indices and recompute exact totals.
-    rem = best_flat
-    orig: list[int] = []
-    for s in range(len(structures)):
-        trailing = int(np.prod(sizes[s + 1 :])) if s + 1 < len(sizes) else 1
-        idx, rem = divmod(rem, trailing)
-        orig.append(int(idx))
+    orig = _unravel(structures, best_flat)
     area_t = 0.0
     cpi_t = fixed_cpi
-    power_t: float | None = 0.0
-    have_power = all(s.powers is not None for s in structures)
+    power_t = 0.0
     for s, curve in enumerate(structures):
         area_t = area_t + float(curve.areas[orig[s]])
         cpi_t = cpi_t + float(curve.cpis[orig[s]])
-        if have_power:
-            power_t = power_t + float(curve.powers[orig[s]])
-    return GreedyResult(
+        power_t = power_t + float(curve.powers[orig[s]])
+    return Selection(
         choice=orig,
         keys=tuple(s.keys[i] for s, i in zip(structures, orig)),
         area=area_t,
         cpi=cpi_t,
-        power=power_t if have_power else None,
+        power=power_t,
     )
-
-
-def sweep_budgets(
-    structures: list[StructureCurve],
-    budgets,
-    fixed_cpi: float = 0.0,
-    power_budget: float | None = None,
-) -> list[GreedyResult | None]:
-    """Greedy best per budget; None where nothing fits."""
-    out: list[GreedyResult | None] = []
-    for budget in budgets:
-        try:
-            out.append(
-                greedy_allocate(
-                    structures, float(budget), fixed_cpi, power_budget
-                )
-            )
-        except BudgetError:
-            out.append(None)
-    return out
 
 
 @dataclass(frozen=True)
@@ -741,19 +381,16 @@ class SurfacePoint:
 
     area_budget: float
     power_budget: float
-    result: GreedyResult
+    result: Selection
 
 
 def pareto_surface(
-    structures: list[StructureCurve],
-    area_budgets,
-    power_budgets,
-    fixed_cpi: float = 0.0,
+    frontier: Frontier, area_budgets, power_budgets
 ) -> list[SurfacePoint]:
-    """The (area x power) -> CPI Pareto surface, greedy per cell.
+    """The (area x power) -> CPI Pareto surface, one query per cell.
 
-    Evaluates the greedy optimizer at every (area budget, power budget)
-    pair and keeps the cells no other cell dominates on all three axes
+    Answers every (area budget, power budget) pair from the frontier
+    and keeps the cells no other cell dominates on all three axes
     (achieved area, achieved power, cpi) — the multi-budget surface the
     cache-hierarchy literature plots.  Infeasible cells are dropped,
     and when several budget cells land on the *same* achieved
@@ -766,34 +403,25 @@ def pareto_surface(
     for ab in area_budgets:
         for pb in power_budgets:
             try:
-                result = greedy_allocate(
-                    structures, float(ab), fixed_cpi, float(pb)
-                )
+                result = frontier.best(float(ab), float(pb))
             except BudgetError:
                 continue
-            achieved = (result.area, result.power or 0.0, result.cpi)
-            if achieved in seen:
-                continue
-            seen.add(achieved)
-            cells.append(SurfacePoint(float(ab), float(pb), result))
-    kept: list[SurfacePoint] = []
-    for cell in cells:
-        dominated = False
-        for other in cells:
-            if other is cell:
-                continue
-            if (
-                other.result.area <= cell.result.area
-                and (other.result.power or 0.0) <= (cell.result.power or 0.0)
-                and other.result.cpi <= cell.result.cpi
-                and (
-                    other.result.area < cell.result.area
-                    or (other.result.power or 0.0) < (cell.result.power or 0.0)
-                    or other.result.cpi < cell.result.cpi
-                )
-            ):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(cell)
-    return kept
+            achieved = (result.area, result.power, result.cpi)
+            if achieved not in seen:
+                seen.add(achieved)
+                cells.append(SurfacePoint(float(ab), float(pb), result))
+
+    def achieved(cell: SurfacePoint) -> tuple[float, float, float]:
+        return (cell.result.area, cell.result.power, cell.result.cpi)
+
+    # Achieved points are distinct, so <= on every axis is strict
+    # dominance.
+    return [
+        cell
+        for cell in cells
+        if not any(
+            other is not cell
+            and all(o <= c for o, c in zip(achieved(other), achieved(cell)))
+            for other in cells
+        )
+    ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 from repro.core.measure import DEFAULT_REFERENCES, scale
@@ -92,8 +91,3 @@ def format_table(rows: list[dict], columns: list[str] | None = None) -> str:
     for row in rows:
         lines.append("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns))
     return "\n".join(lines)
-
-
-def is_quick() -> bool:
-    """True when REPRO_QUICK asks experiments to shrink workloads."""
-    return os.environ.get("REPRO_QUICK", "0") not in ("0", "", "false")

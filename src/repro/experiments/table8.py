@@ -1,20 +1,18 @@
 """Table 8 (extension): two-level allocations and the area x power surface.
 
 The paper's Tables 6/7 stop at one cache level because exhaustive
-ranking is already pushing ~250k design points.  The greedy
-marginal-utility optimizer (:mod:`repro.core.multiopt`) removes that
-wall, so this experiment answers the question the paper could not ask:
+ranking is already pushing ~250k design points.  The exact Pareto
+frontier of :mod:`repro.core.multiopt` removes that wall, so this
+experiment answers the question the paper could not ask:
 *given the same measured curves, where does the area go when an
 on-chip L2 joins the menu — and what does a power ceiling change?*
 
 Three parts:
 
-* **best** — the greedy best two-level [TLB, L1I, L1D, L2] allocation
-  at each of a sweep of area budgets, with the exhaustive optimum on
-  the same space as the differential check (``greedy_matches``);
-* **power** — the same budgets re-run under a power ceiling (greedy
-  only: the joint area x power question is a documented heuristic
-  upper bound, see :mod:`repro.core.multiopt`);
+* **best** — the optimal two-level [TLB, L1I, L1D, L2] allocation at
+  each of a sweep of area budgets;
+* **power** — the same budgets re-run under a power ceiling (also
+  exact: the frontier answers joint area x power budgets too);
 * **surface** — the non-dominated cells of the area x power budget
   grid, i.e. the Pareto surface the service's two-level ``pareto``
   query serves.
@@ -27,9 +25,9 @@ from __future__ import annotations
 
 from repro.core.hierarchy import TwoLevelSpace, build_two_level_space
 from repro.core.measure import BenefitCurves
-from repro.core.multiopt import GreedyResult, pareto_surface
+from repro.core.multiopt import Selection, pareto_surface
 from repro.errors import BudgetError
-from repro.experiments.common import format_table, is_quick
+from repro.experiments.common import format_table
 from repro.service.engine import maybe_engine, two_level_entry
 
 DEFAULT_BUDGETS = (100_000.0, 175_000.0, 250_000.0, 400_000.0)
@@ -44,7 +42,7 @@ def _space(os_name: str) -> TwoLevelSpace:
     return build_two_level_space(BenefitCurves.for_suite(os_name))
 
 
-def _row(budget: float, result: GreedyResult | None) -> dict:
+def _row(budget: float, result: Selection | None) -> dict:
     if result is None:
         return {
             "budget": int(budget),
@@ -69,46 +67,22 @@ def run(
     os_name: str = "mach",
     budgets: tuple[float, ...] = DEFAULT_BUDGETS,
     power_budget_mw: float = DEFAULT_POWER_BUDGET_MW,
-    check_exhaustive: bool | None = None,
 ) -> dict:
-    """Return the three sections as JSON-ready rows.
-
-    ``check_exhaustive`` defaults to on except under ``REPRO_QUICK``
-    (the exhaustive pass scans the full cross product once per budget
-    — that cost *is* the point of the alloc_scaling bench, but a smoke
-    run should not pay it).
-    """
+    """Return the three sections as JSON-ready rows."""
     space = _space(os_name)
-    if check_exhaustive is None:
-        check_exhaustive = not is_quick()
 
-    best_rows = []
-    for budget in budgets:
-        try:
-            greedy = space.best(budget)
-        except BudgetError:
-            greedy = None
-        row = _row(budget, greedy)
-        if check_exhaustive:
-            row["greedy_matches"] = "-"
-            if greedy is not None:
-                exact = space.best_exhaustive(budget)
-                row["greedy_matches"] = greedy.cpi == exact.cpi
-        best_rows.append(row)
-
-    power_rows = []
-    for budget in budgets:
-        try:
-            result = space.best(budget, power_budget_mw=power_budget_mw)
-        except BudgetError:
-            result = None
-        power_rows.append(_row(budget, result))
+    def rows(power: float | None) -> list[dict]:
+        out = []
+        for budget in budgets:
+            try:
+                result = space.best(budget, power_budget_mw=power)
+            except BudgetError:
+                result = None
+            out.append(_row(budget, result))
+        return out
 
     cells = pareto_surface(
-        list(space.structures),
-        list(budgets),
-        list(SURFACE_POWER_BUDGETS_MW),
-        fixed_cpi=space.fixed_cpi,
+        space.frontier, list(budgets), list(SURFACE_POWER_BUDGETS_MW)
     )
     surface_rows = [
         {
@@ -126,8 +100,8 @@ def run(
         "os": os_name,
         "space_points": space.size,
         "power_budget_mw": power_budget_mw,
-        "best": best_rows,
-        "power": power_rows,
+        "best": rows(None),
+        "power": rows(power_budget_mw),
         "surface": surface_rows,
     }
 

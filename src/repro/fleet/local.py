@@ -440,23 +440,36 @@ class FleetSupervisor:
         }
 
     def serve_until_interrupted(self) -> None:
-        """The CLI loop: start, report, park until Ctrl-C, stop."""
-        self.start()
-        host, port = self.router.server_address[:2]
-        shard_list = ", ".join(
-            f"{label}:{shard.port}"
-            for label, shard in sorted(self._shards.items())
-        )
-        print(
-            f"repro.fleet router on http://{host}:{port}/v1/query — "
-            f"{self.nodes} shard(s) [{shard_list}], R={self.replicas}, "
-            f"{self.workers_per_shard} worker(s)/shard",
-            file=sys.stderr if self.verbose else sys.stdout,
-        )
+        """The CLI loop: start, report, park until Ctrl-C or SIGTERM, stop.
+
+        Shards run in their own sessions, so a signal that killed only
+        this process would leave them serving; SIGTERM therefore takes
+        the same stop path as Ctrl-C.
+        """
+
+        def terminate(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGTERM, terminate)
         try:
+            self.start()
+            host, port = self.router.server_address[:2]
+            shard_list = ", ".join(
+                f"{label}:{shard.port}"
+                for label, shard in sorted(self._shards.items())
+            )
+            print(
+                f"repro.fleet router on http://{host}:{port}/v1/query — "
+                f"{self.nodes} shard(s) [{shard_list}], R={self.replicas}, "
+                f"{self.workers_per_shard} worker(s)/shard",
+                file=sys.stderr if self.verbose else sys.stdout,
+                flush=True,
+            )
             while True:
                 time.sleep(3600)
         except KeyboardInterrupt:
             pass
         finally:
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)  # let stop finish
             self.stop()
+            signal.signal(signal.SIGTERM, previous)

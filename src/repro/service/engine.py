@@ -19,6 +19,16 @@ Three query shapes:
   point beats on both axes, with ties resolved exactly as the
   brute-force ranking resolves them.
 
+Two-level queries (``space="two_level"``) run over each OS's
+:class:`~repro.core.hierarchy.TwoLevelSpace`, whose exact Pareto
+frontier is built once per OS: point, batch and surface answers equal
+the exhaustive optimum bit for bit, with or without a power budget.
+Single-level queries stay on the priced space's
+:class:`~repro.core.allocator.BudgetIndex`, because its feasibility is
+the reference predicate ``budget_left = (B - t_area) - i_area``, which
+is not a function of a partial selection's summed area — the
+frontier's dominance argument does not carry over to it.
+
 Responses to the dict-level :meth:`QueryEngine.query` API are memoized
 in an LRU keyed on the *normalized* request, so repeated or
 re-spelled queries cost a dictionary hit.
@@ -55,7 +65,7 @@ from repro.core.configs import CacheConfig, TlbConfig
 from repro.core.cpi import CpiModel
 from repro.core.hierarchy import TwoLevelSpace, build_two_level_space
 from repro.core.measure import BenefitCurves
-from repro.core.multiopt import GreedyResult, SurfacePoint, pareto_surface
+from repro.core.multiopt import Selection, SurfacePoint, pareto_surface
 from repro.errors import BudgetError, StoreError
 from repro.obs.tracing import trace_span
 from repro.service.requests import validate_request
@@ -75,7 +85,7 @@ def allocation_entry(rank: int, allocation: Allocation) -> dict:
     }
 
 
-def two_level_entry(result: GreedyResult) -> dict:
+def two_level_entry(result: Selection) -> dict:
     """One JSON-ready row for a two-level (TLB, L1I, L1D, L2) answer."""
     tlb_key, l1i_key, l1d_key, l2_key = result.keys
     return {
@@ -275,9 +285,9 @@ class QueryEngine:
 
         Built once per OS from the same measured curves the
         single-level pricing uses (see :mod:`repro.core.hierarchy` for
-        the separability model) and answered by the greedy
-        marginal-utility optimizer — the space's cross product is far
-        past what exhaustive ranking could precompute.
+        the separability model), with its exact Pareto frontier: every
+        two-level query, with or without a power budget, is a scan of
+        that frontier and equals the exhaustive optimum bit for bit.
         """
 
         def _build() -> TwoLevelSpace:
@@ -321,8 +331,8 @@ class QueryEngine:
         os_name: str,
         budget: float,
         power_budget: float | None = None,
-    ) -> GreedyResult:
-        """Greedy best two-level allocation under the budget(s).
+    ) -> Selection:
+        """The optimal two-level allocation under the budget(s).
 
         Raises:
             BudgetError: nothing fits.
@@ -391,10 +401,10 @@ class QueryEngine:
         os_names: list[str],
         budgets: list[float],
         power_budget: float | None = None,
-    ) -> list[tuple[str, float, GreedyResult | None]]:
-        """A budget x OS sweep over warm two-level spaces (greedy).
+    ) -> list[tuple[str, float, Selection | None]]:
+        """A budget x OS sweep over warm two-level spaces.
 
-        Each point is one greedy query; infeasible points yield None
+        Each point is one frontier query; infeasible points yield None
         instead of failing the sweep.
         """
         out = []
@@ -419,20 +429,15 @@ class QueryEngine:
         budgets: list[float],
         power_budgets: list[float],
     ) -> list[SurfacePoint]:
-        """The (area budget x power budget) Pareto surface, greedy per
-        cell, dominated and infeasible cells dropped."""
+        """The (area budget x power budget) Pareto surface, one frontier
+        query per cell, dominated and infeasible cells dropped."""
         space = self.two_level_space(os_name)
         with trace_span(
             "engine.surface",
             os=os_name,
             cells=len(budgets) * len(power_budgets),
         ):
-            return pareto_surface(
-                list(space.structures),
-                budgets,
-                power_budgets,
-                fixed_cpi=space.fixed_cpi,
-            )
+            return pareto_surface(space.frontier, budgets, power_budgets)
 
     def pareto(
         self,
@@ -690,7 +695,7 @@ class QueryEngine:
         }
 
     def _answer_two_level(self, req: dict) -> dict:
-        """Two-level responses: greedy point/batch, or a Pareto surface.
+        """Two-level responses: point/batch, or a Pareto surface.
 
         Response rows carry the four structure labels plus exact area,
         CPI and power; a ``point`` query that fits nothing raises

@@ -78,6 +78,14 @@ DEFAULT_DRAIN_S = 5.0
 RETRY_AFTER_S = 1
 METRICS_EXPORT_INTERVAL_S = 0.25
 SWEEP_INTERVAL_S = 0.25
+LINGER_BYTES = 256 * 1024
+LINGER_S = 1.0
+"""After a 413 or 431 with ``Connection: close`` the socket is
+half-closed and up to ``LINGER_BYTES`` of unread request bytes are
+discarded, for at most ``LINGER_S``, before it closes: closing with
+input still unread makes the kernel reset the connection, and the
+client then sees an error instead of the response and a clean end."""
+_LINGER_STATUSES = (413, 431)
 ACCEPT_BATCH = 64
 
 # Ordered most-specific first: subclasses must precede their bases.
@@ -153,7 +161,7 @@ class _Connection:
     __slots__ = (
         "sock", "fd", "addr", "rbuf", "wq", "wbytes", "last_activity",
         "cur", "head_len", "pending", "close_after_flush", "closed",
-        "read_eof", "events", "parsing",
+        "read_eof", "events", "parsing", "linger_left", "linger_until",
     )
 
     def __init__(self, sock: socket.socket, addr):
@@ -172,6 +180,8 @@ class _Connection:
         self.read_eof = False
         self.events = 0  # currently registered selector mask
         self.parsing = False  # re-entrancy guard: inside _process_rbuf
+        self.linger_left = 0  # discard budget once the reject is flushed
+        self.linger_until = 0.0  # nonzero while half-closed and draining
 
 
 class EventLoopHTTPServer:
@@ -399,6 +409,8 @@ class EventLoopHTTPServer:
         conn.events = events
 
     def _wanted_events(self, conn: _Connection) -> int:
+        if conn.linger_until:
+            return selectors.EVENT_READ
         events = 0
         if conn.wq:
             events |= selectors.EVENT_WRITE
@@ -415,6 +427,9 @@ class EventLoopHTTPServer:
         self._register(conn, self._wanted_events(conn))
 
     def _on_readable(self, conn: _Connection) -> None:
+        if conn.linger_until:
+            self._discard_input(conn)
+            return
         try:
             chunk = conn.sock.recv(262144)
         except (BlockingIOError, InterruptedError):
@@ -499,12 +514,38 @@ class EventLoopHTTPServer:
                     sent = 0
         conn.last_activity = time.monotonic()
         if not wq and conn.close_after_flush:
-            self._close_conn(conn)
+            if conn.linger_left:
+                self._linger(conn)
+            else:
+                self._close_conn(conn)
             return
         self._update_interest(conn)
         if not wq and not conn.pending and conn.rbuf and not conn.parsing:
             # Back-pressure released: resume parsing pipelined input.
             self._process_rbuf(conn)
+
+    def _linger(self, conn: _Connection) -> None:
+        """Half-close behind a flushed reject; read on until the client
+        closes too (see ``LINGER_BYTES``)."""
+        try:
+            conn.sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            self._close_conn(conn)
+            return
+        conn.linger_until = time.monotonic() + LINGER_S
+        conn.rbuf.clear()
+        self._update_interest(conn)
+
+    def _discard_input(self, conn: _Connection) -> None:
+        try:
+            chunk = conn.sock.recv(65536)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            chunk = b""
+        conn.linger_left -= len(chunk)
+        if not chunk or conn.linger_left <= 0:
+            self._close_conn(conn)
 
     def _enqueue(self, conn: _Connection, data) -> None:
         if conn.closed:
@@ -945,18 +986,21 @@ class EventLoopHTTPServer:
                     self._process_rbuf(conn)
 
     def _sweep(self, now: float) -> None:
-        """Periodic housekeeping: idle timeouts and loop gauges."""
+        """Periodic housekeeping: idle and linger timeouts, loop gauges."""
         timeout = self.request_timeout
-        if timeout and timeout > 0:
-            for conn in list(self._conns.values()):
-                if conn.pending:
-                    continue  # an engine answer is coming; don't kill it
-                if now - conn.last_activity > timeout:
-                    if conn.cur is not None or conn.wq:
-                        self.metrics.counter("http_responses").inc(
-                            label="timeout"
-                        )
+        for conn in list(self._conns.values()):
+            if conn.linger_until:
+                if now >= conn.linger_until:
                     self._close_conn(conn)
+                continue
+            if conn.pending:
+                continue  # an engine answer is coming; don't kill it
+            if timeout and timeout > 0 and now - conn.last_activity > timeout:
+                if conn.cur is not None or conn.wq:
+                    self.metrics.counter("http_responses").inc(
+                        label="timeout"
+                    )
+                self._close_conn(conn)
         self.metrics.gauge("loop_connections").set(len(self._conns))
         self.metrics.gauge("loop_ready_queue").set(len(self._completions))
         self.metrics.gauge("loop_buffered_bytes").set(
@@ -1072,6 +1116,8 @@ class EventLoopHTTPServer:
         if close:
             conn.close_after_flush = True
             conn.read_eof = True  # no further requests on this socket
+            if status in _LINGER_STATUSES:
+                conn.linger_left = LINGER_BYTES
         self._finish_request(conn, req, status)
         if not conn.parsing:
             self._flush(conn)

@@ -2,8 +2,8 @@
 
 A reduced measured grid (2-16KB caches, split at 8/16KB) keeps the
 cross product small enough that the exhaustive reference can sweep
-many budgets, so greedy-vs-exhaustive runs bitwise here just as it
-does on the full space in the ``alloc_scaling`` bench.
+many budgets, so frontier-vs-exhaustive runs bitwise here; the slow
+tests repeat it on the full ~10^7-point space of each OS.
 """
 
 import numpy as np
@@ -30,6 +30,18 @@ GRID = dict(
 )
 L1_MAX = 8 * KB
 L2_MIN = 16 * KB
+
+
+def assert_matches_exhaustive(space, budget, power_budget):
+    """space.best equals the exhaustive optimum bit for bit (choice,
+    area, cpi, power), and both agree when nothing fits."""
+    try:
+        exact = space.best_exhaustive(budget, power_budget_mw=power_budget)
+    except BudgetError:
+        with pytest.raises(BudgetError):
+            space.best(budget, power_budget_mw=power_budget)
+        return
+    assert space.best(budget, power_budget_mw=power_budget) == exact
 
 
 @pytest.fixture(scope="module")
@@ -92,18 +104,14 @@ class TestBuild:
             remain = model.cache_penalty(key[1]) - hit
             assert l2.cpis[j] == pytest.approx((mi + md * lpi) * remain)
 
-    def test_power_curves_present_and_optional(self, curves):
-        powered = build_two_level_space(
-            curves, l1_max_bytes=L1_MAX, l2_min_bytes=L2_MIN
-        )
-        assert all(s.powers is not None for s in powered.structures)
-        bare = build_two_level_space(
-            curves,
-            l1_max_bytes=L1_MAX,
-            l2_min_bytes=L2_MIN,
-            with_power=False,
-        )
-        assert all(s.powers is None for s in bare.structures)
+    def test_power_curves_present_and_optional(self, space):
+        """Every curve carries power, so the one frontier answers both
+        area-only and area x power queries (power is optional per
+        query, not per space)."""
+        for s in space.structures:
+            assert s.powers.shape == s.areas.shape
+            assert np.all(s.powers > 0)
+        assert 0 < len(space.frontier) < space.size
 
     def test_empty_level_split_rejected(self, curves):
         with pytest.raises(ValueError, match="no design points"):
@@ -135,36 +143,15 @@ class TestSearch:
 
     def test_greedy_matches_exhaustive(self, space):
         for budget in self._budgets(space):
-            try:
-                exact = space.best_exhaustive(float(budget))
-            except BudgetError:
-                with pytest.raises(BudgetError):
-                    space.best(float(budget))
-                continue
-            greedy = space.best(float(budget))
-            assert greedy.cpi == exact.cpi
-            assert greedy.area == exact.area
+            assert_matches_exhaustive(space, float(budget), None)
 
     def test_greedy_power_never_beats_exhaustive(self, space):
+        """Joint budgets are exact too: the frontier equals the
+        exhaustive optimum."""
         powers = [float(np.median(s.powers)) for s in space.structures]
         power_budget = sum(powers) * 1.1
         for budget in self._budgets(space, n=10, seed=5):
-            try:
-                greedy = space.best(
-                    float(budget), power_budget_mw=power_budget
-                )
-            except BudgetError:
-                # Documented heuristic: greedy may miss feasible
-                # points under joint budgets.
-                continue
-            exact = space.best_exhaustive(
-                float(budget), power_budget_mw=power_budget
-            )
-            assert greedy.area <= float(budget)
-            assert greedy.power <= power_budget
-            assert greedy.cpi >= exact.cpi or np.isclose(
-                greedy.cpi, exact.cpi
-            )
+            assert_matches_exhaustive(space, float(budget), power_budget)
 
     def test_best_cpi_monotone_in_budget(self, space):
         budgets = np.sort(self._budgets(space, n=12, seed=9))
@@ -181,3 +168,30 @@ class TestSearch:
         tlb = space.structures[0]
         entries = [k[0] for k in tlb.keys]
         assert entries == sorted(entries)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("os_name", ["mach", "ultrix"])
+def test_full_two_level_space_matches_exhaustive(os_name):
+    """The whole [TLB, L1I, L1D, L2] space (~10^7 points) of each OS:
+    8 area budgets and 4 joint area x power budgets across the
+    feasible range, each bit-identical to the exhaustive scan."""
+    space = build_two_level_space(
+        measure_workload("ousterhout", os_name, references=60_000)
+    )
+    assert space.size > 10**7
+
+    def span(values):
+        lo = float(sum(v.min() for v in values))
+        return lo, float(sum(v.max() for v in values)) - lo
+
+    area_lo, area_span = span([s.areas for s in space.structures])
+    power_lo, power_span = span([s.powers for s in space.structures])
+    for i in range(1, 9):
+        assert_matches_exhaustive(space, area_lo + area_span * i / 9, None)
+    for area_frac, power_frac in ((0.2, 0.6), (0.4, 0.3), (0.6, 0.2), (0.8, 0.4)):
+        assert_matches_exhaustive(
+            space,
+            area_lo + area_span * area_frac,
+            power_lo + power_span * power_frac,
+        )

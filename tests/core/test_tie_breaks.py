@@ -9,12 +9,11 @@ contract at the adversarial points: budgets equal to an entry's exact
 area and their one-ULP neighbours, where a wrong association order
 admits or drops entries.
 
-The greedy path has its own boundary obligation: at a budget exactly
-equal to a configuration's area, swap combinations with bitwise-equal
-totals but different CPIs must still resolve to the exhaustive
-optimum (the repair pass decides feasibility by the same
-left-associated totals the grid uses — a regression here once cost
-2.3e-3 CPI on the small ultrix grid).
+The frontier of :mod:`repro.core.multiopt` has its own boundary
+obligation: at a budget exactly equal to a configuration's area, swap
+combinations with bitwise-equal totals but different CPIs must still
+resolve to the exhaustive optimum (a greedy allocator that once
+answered here lost 2.3e-3 CPI on the small ultrix grid).
 """
 
 import numpy as np
@@ -23,12 +22,12 @@ import pytest
 from repro.core.allocator import (
     Allocator,
     flat_index,
-    rank_greedy,
     rank_indexed,
     rank_priced,
     rank_priced_power,
 )
 from repro.core.measure import measure_workload
+from repro.core.multiopt import build_frontier
 from repro.core.space import enumerate_cache_configs, enumerate_tlb_configs
 from repro.errors import BudgetError
 from repro.units import KB
@@ -126,33 +125,47 @@ class TestOrderingContract:
             assert _rows(rank_indexed(priced, float(budget))) == _rows(expected)
 
 
+def _frontier(priced):
+    return build_frontier(priced.structure_curves(), priced.fixed_cpi)
+
+
+def _same_top1(selection, allocation):
+    c = allocation.config
+    return (selection.keys, selection.cpi) == (
+        (c.tlb, c.icache, c.dcache), allocation.cpi
+    )
+
+
 class TestGreedyBoundaries:
+    """Boundaries first pinned for the greedy allocator, now held by
+    the frontier."""
+
     def test_greedy_optimal_at_exact_total_areas(self, fixture):
         """At budgets bitwise-equal to a configuration's total area —
         where distinct configurations can share the total to the ULP —
-        greedy must return the optimum *under its documented
+        the frontier must return the optimum *under its documented
         feasibility predicate*, the grid comparison ``area_grid <=
         budget``.  ``rank_priced_power`` with an unbounded power budget
         ranks under exactly that predicate, so it is the reference
         here (the ordering contract documents that the reference
         subtraction predicate may differ by ULPs at these budgets)."""
         allocator, priced, kwargs = fixture
+        frontier = _frontier(priced)
         grid = np.asarray(priced.area_grid).ravel()
         rng = np.random.default_rng(31)
         for budget in rng.choice(grid, size=min(40, grid.size), replace=False):
             best = rank_priced_power(
                 priced, float(budget), float("inf"), limit=1
             )[0]
-            greedy = rank_greedy(priced, float(budget))[0]
-            assert greedy.cpi == best.cpi
-            assert greedy.config == best.config
+            assert _same_top1(frontier.best(float(budget)), best)
 
     def test_greedy_matches_rank_priced_off_boundary(self, fixture):
         """Away from entry areas the two feasibility predicates admit
-        the same set, so greedy must equal the brute-force top-1
+        the same set, so the frontier must equal the brute-force top-1
         bitwise.  Budgets are midpoints between well-separated entry
         areas — guaranteed more than a few ULPs from any boundary."""
         allocator, priced, kwargs = fixture
+        frontier = _frontier(priced)
         grid = np.unique(np.asarray(priced.area_grid).ravel())
         gaps = np.flatnonzero(np.diff(grid) > 1.0)
         rng = np.random.default_rng(41)
@@ -163,9 +176,7 @@ class TestGreedyBoundaries:
                 best = rank_priced(priced, budget, limit=1)[0]
             except BudgetError:
                 continue
-            greedy = rank_greedy(priced, budget)[0]
-            assert greedy.cpi == best.cpi
-            assert greedy.config == best.config
+            assert _same_top1(frontier.best(budget), best)
 
     def test_power_ranking_at_power_boundaries(self, fixture):
         """rank_priced_power at power budgets equal to an entry's exact

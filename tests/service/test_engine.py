@@ -112,15 +112,21 @@ class TestPareto:
         frontier = engine.pareto("mach", max_budget=DEFAULT_BUDGET_RBES)
         full = engine.point("mach", DEFAULT_BUDGET_RBES)
         frontier_set = {(a.area_rbe, a.cpi) for a in frontier}
-        for point in full:
-            dominated = any(
-                q.area_rbe <= point.area_rbe
-                and q.cpi <= point.cpi
-                and (q.area_rbe < point.area_rbe or q.cpi < point.cpi)
-                for q in full
-            )
-            if not dominated:
-                assert (point.area_rbe, point.cpi) in frontier_set
+        # Sorted by (area, cpi), a point is dominated iff a smaller
+        # cpi shares its area (it is not first in its area group) or
+        # some strictly smaller area has cpi <= its own (prefix min).
+        area = np.array([a.area_rbe for a in full])
+        cpi = np.array([a.cpi for a in full])
+        order = np.lexsort((cpi, area))
+        area, cpi = area[order], cpi[order]
+        first = np.searchsorted(area, area, "left")
+        prefix_min = np.minimum.accumulate(cpi)
+        left_min = np.where(
+            first > 0, prefix_min[np.maximum(first - 1, 0)], np.inf
+        )
+        nondominated = (cpi == cpi[first]) & (left_min > cpi)
+        for a, c in zip(area[nondominated], cpi[nondominated]):
+            assert (a, c) in frontier_set
 
     def test_ties_keep_rank_order(self, engine):
         """Among exact (area, cpi) ties the frontier keeps the config
