@@ -309,56 +309,71 @@ def exhaustive_best(
     Raises:
         BudgetError: when nothing fits.
     """
+    (best,) = exhaustive_best_many(structures, [(budget, power_budget)], fixed_cpi)
+    if best is None:
+        raise _nothing_fits(budget, power_budget)
+    return best
+
+
+def exhaustive_best_many(
+    structures: list[StructureCurve],
+    budgets: list[tuple[float, float | None]],
+    fixed_cpi: float = 0.0,
+) -> list[Selection | None]:
+    """:func:`exhaustive_best` for several budgets in one pass.
+
+    ``budgets`` holds ``(area budget, power budget or None)`` pairs;
+    the answer for each is what :func:`exhaustive_best` returns, or
+    None where nothing fits.  The cross product's totals are summed
+    once per chunk and every budget is answered from them.
+    """
     sizes = [s.size for s in structures]
     total = int(np.prod(sizes))
-    best_cpi = np.inf
-    best_area = np.inf
-    best_flat = -1
+    # Per budget: (cpi, area, flat index) of the best point so far.
+    best = [(np.inf, np.inf, -1)] * len(budgets)
+    with_power = any(power is not None for _, power in budgets)
 
     # Accumulate grids chunk-by-chunk over the flat cross product.
     for start in range(0, total, _EXHAUSTIVE_CHUNK):
         stop = min(start + _EXHAUSTIVE_CHUNK, total)
-        flat = np.arange(start, stop, dtype=np.int64)
+        rem = np.arange(start, stop, dtype=np.int64)
         area = np.zeros(stop - start, dtype=np.float64)
         cpi = np.full(stop - start, fixed_cpi, dtype=np.float64)
-        power = (
-            np.zeros(stop - start, dtype=np.float64)
-            if power_budget is not None
-            else None
-        )
-        rem = flat
+        power = np.zeros(stop - start, dtype=np.float64) if with_power else None
         # Decompose flat indices most-significant structure first.
-        idx_per_structure = []
-        for s in range(len(structures)):
+        for s, curve in enumerate(structures):
             trailing = int(np.prod(sizes[s + 1 :])) if s + 1 < len(sizes) else 1
             idx, rem = np.divmod(rem, trailing)
-            idx_per_structure.append(idx)
-        for s, curve in enumerate(structures):
-            idx = idx_per_structure[s]
             area = area + curve.areas[idx]
             cpi = cpi + curve.cpis[idx]
             if power is not None:
                 power = power + curve.powers[idx]
-        mask = area <= budget
-        if power is not None:
-            mask &= power <= power_budget
-        if not mask.any():
-            continue
-        cand = np.flatnonzero(mask)
-        c_cpi = cpi[cand]
-        c_area = area[cand]
-        pick = cand[np.lexsort((cand, c_area, c_cpi))[0]]
-        if (c := float(cpi[pick])) < best_cpi or (
-            c == best_cpi and float(area[pick]) < best_area
-        ):
-            best_cpi = c
-            best_area = float(area[pick])
-            best_flat = int(flat[pick])
+        for b, (budget, power_budget) in enumerate(budgets):
+            mask = area <= budget
+            if power_budget is not None:
+                mask &= power <= power_budget
+            cand = np.flatnonzero(mask)
+            if not len(cand):
+                continue
+            # Lowest cpi, then lowest area, then lowest flat index.
+            c_cpi = cpi[cand]
+            tied = cand[c_cpi == c_cpi.min()]
+            pick = int(tied[np.argmin(area[tied])])
+            c, a = float(cpi[pick]), float(area[pick])
+            if c < best[b][0] or (c == best[b][0] and a < best[b][1]):
+                best[b] = (c, a, start + pick)
 
-    if best_flat < 0:
-        raise _nothing_fits(budget, power_budget)
-    # Recover per-structure indices and recompute exact totals.
-    orig = _unravel(structures, best_flat)
+    return [
+        None if flat < 0 else _exhaustive_selection(structures, flat, fixed_cpi)
+        for _, _, flat in best
+    ]
+
+
+def _exhaustive_selection(
+    structures: list[StructureCurve], flat: int, fixed_cpi: float
+) -> Selection:
+    """Recover per-structure indices and recompute exact totals."""
+    orig = _unravel(structures, flat)
     area_t = 0.0
     cpi_t = fixed_cpi
     power_t = 0.0

@@ -6,7 +6,8 @@ property so each (line size, set count) pair costs a single pass
 (see :mod:`repro.memsim.stackdist`).  They are the workhorses behind
 Figures 7-10 and the Table 6/7 allocation sweep.
 
-The grid batches all of its passes through
+The grid consumes its stream in chunks (a materialized stream is one
+chunk) and batches each chunk's passes through
 :func:`repro.memsim.engine.multi_group_depths`, grouped by the deepest
 associativity each set count actually needs — the largest set counts
 are only ever direct-mapped or 2-way in Table 5, and those caps have
@@ -21,8 +22,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.memsim.engine import lru_depths, multi_group_depths
-from repro.memsim.stackdist import StreamingStackDistance
+from repro.memsim.stackdist import StreamingStackDistance, feed_together
 from repro.units import WORD_BYTES, log2i
 
 
@@ -55,24 +55,15 @@ def dedupe_consecutive(
     return (ids[keep], *(np.asarray(f)[keep] for f in flags))
 
 
-def miss_flags_lru(
-    ids: np.ndarray, n_sets: int, assoc: int, engine: str | None = None
-) -> np.ndarray:
-    """Per-reference miss flags for one LRU set-associative structure.
-
-    The set index is ``id & (n_sets - 1)`` and the full id is the tag,
-    so callers must arrange ids so their low bits are the indexing bits
-    (line ids for caches; ``(asid << VPN_BITS) | vpn`` for TLBs).
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    depths = lru_depths(ids, n_sets, assoc, engine=engine)
-    return depths == assoc
-
-
 def miss_flags_lru_reference(
     ids: np.ndarray, n_sets: int, assoc: int
 ) -> np.ndarray:
-    """Interpreted twin of :func:`miss_flags_lru`."""
+    """Interpreted per-reference miss flags for one LRU structure.
+
+    The set index is ``id & (n_sets - 1)`` and the full id is the tag;
+    the oracle for the depth-at-cap misses of
+    :class:`~repro.memsim.stackdist.StreamingStackDistance`.
+    """
     if n_sets < 1 or n_sets & (n_sets - 1):
         raise ValueError("n_sets must be a positive power of two")
     flags = np.zeros(len(ids), dtype=bool)
@@ -104,96 +95,19 @@ def cache_miss_ratio_grid(
 ) -> dict[tuple[int, int, int], float]:
     """Miss ratios for every (capacity, line_words, assoc) combination.
 
-    The leading ``warmup_fraction`` of the stream primes the stacks
-    without being counted (steady-state measurement, as in the paper's
-    long hardware runs).
-
-    Returns:
-        Mapping ``(capacity_bytes, line_words, assoc) -> miss ratio``;
-        combinations whose geometry is infeasible (fewer lines than
-        ways) are omitted.
+    A materialized stream fed to :func:`cache_miss_ratio_grid_chunked`
+    as a single chunk.
     """
     addresses = np.asarray(addresses, dtype=np.int64)
-    total = len(addresses)
-    grid: dict[tuple[int, int, int], float] = {}
-    if total == 0:
-        return grid
-    warm = int(total * warmup_fraction)
-    counted_total = total - warm
-
-    # Per line size: the deduped stream, its warmup boundary, and the
-    # deepest associativity each required set count must resolve.
-    per_line: dict[int, tuple[np.ndarray, int, dict[int, int]]] = {}
-    for line_words in line_words_list:
-        line_bytes = line_words * WORD_BYTES
-        ids = line_ids_for(addresses, line_words)
-        keep = np.empty(total, dtype=bool)
-        keep[0] = True
-        np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-        deduped = ids[keep]
-        # Dropped (consecutive-duplicate) references are guaranteed
-        # hits, so miss counts on the deduped stream are exact; the
-        # warmup boundary maps to the deduped index space.
-        deduped_count_from = int(keep[:warm].sum())
-        depth_needed: dict[int, int] = {}
-        for capacity in capacities:
-            for assoc in assocs:
-                n_sets = capacity // (line_bytes * assoc)
-                if n_sets >= 1:
-                    depth_needed[n_sets] = max(depth_needed.get(n_sets, 0), assoc)
-        per_line[line_words] = (deduped, deduped_count_from, depth_needed)
-
-    # Batch every (line size, set count) pass through the engine, one
-    # call per distinct depth cap so shallow passes stay cheap.
-    by_cap: dict[int, list[tuple[int, list[int]]]] = defaultdict(list)
-    for line_words, (_, _, depth_needed) in per_line.items():
-        counts_by_cap: dict[int, list[int]] = defaultdict(list)
-        for n_sets, cap in depth_needed.items():
-            counts_by_cap[cap].append(n_sets)
-        for cap, set_counts in counts_by_cap.items():
-            by_cap[cap].append((line_words, set_counts))
-    depths: dict[tuple[int, int], np.ndarray] = {}
-    for cap, members in by_cap.items():
-        groups = [(per_line[lw][0], set_counts) for lw, set_counts in members]
-        for (lw, _), result in zip(
-            members, multi_group_depths(groups, cap, engine=engine)
-        ):
-            for n_sets, d in result.items():
-                depths[(lw, n_sets)] = d
-
-    for line_words in line_words_list:
-        line_bytes = line_words * WORD_BYTES
-        deduped, deduped_count_from, depth_needed = per_line[line_words]
-        n_counted_deduped = len(deduped) - deduped_count_from
-        for n_sets, cap in sorted(depth_needed.items()):
-            d = depths[(line_words, n_sets)]
-            hits = np.cumsum(
-                np.bincount(d[deduped_count_from:], minlength=cap + 1)[:cap]
-            )
-            for assoc in assocs:
-                capacity = n_sets * assoc * line_bytes
-                if assoc <= cap and capacity in capacities:
-                    misses = n_counted_deduped - int(hits[assoc - 1])
-                    grid[(capacity, line_words, assoc)] = misses / counted_total
-    return grid
-
-
-class StreamingMissFlags:
-    """Per-reference miss flags for one LRU structure, fed in chunks.
-
-    The chunked twin of :func:`miss_flags_lru`: each ``feed`` returns
-    the chunk's miss flags, bit-identical to one whole-stream pass,
-    with the stack state carried between chunks (see
-    :class:`~repro.memsim.stackdist.StreamingStackDistance`).
-    """
-
-    def __init__(self, n_sets: int, assoc: int, engine: str | None = None):
-        self.assoc = assoc
-        self._sim = StreamingStackDistance(n_sets, assoc, engine=engine)
-
-    def feed(self, ids: np.ndarray) -> np.ndarray:
-        depths = self._sim.feed(np.asarray(ids, dtype=np.int64))
-        return depths == self.assoc
+    return cache_miss_ratio_grid_chunked(
+        [addresses],
+        len(addresses),
+        capacities,
+        line_words_list,
+        assocs,
+        warmup_fraction=warmup_fraction,
+        engine=engine,
+    )
 
 
 def cache_miss_ratio_grid_chunked(
@@ -205,15 +119,25 @@ def cache_miss_ratio_grid_chunked(
     warmup_fraction: float = 0.0,
     engine: str | None = None,
 ) -> dict[tuple[int, int, int], float]:
-    """Chunk-streaming twin of :func:`cache_miss_ratio_grid`.
+    """Miss ratios for every (capacity, line_words, assoc) combination.
 
     ``chunks`` is an iterable of address arrays in program order whose
     lengths sum to ``total_references``; only one chunk is held at a
-    time.  Results are bit-identical to the batch grid: the warmup
-    boundary is the same ``int(total * warmup_fraction)`` reference
-    index, consecutive-duplicate dedupe carries the last id across
-    chunk boundaries, and the per-(line, set-count) stack state is
-    carried exactly between chunks.
+    time, and a materialized stream is simply one chunk.  The leading
+    ``warmup_fraction`` of the stream primes the stacks without being
+    counted (steady-state measurement, as in the paper's long hardware
+    runs); the boundary is the reference index
+    ``int(total * warmup_fraction)``.  Consecutive references to the
+    same line are dropped before simulation (guaranteed hits; the last
+    id is carried across chunk boundaries), and each (line size, set
+    count) pass carries its stack state exactly between chunks, so
+    results do not depend on how the stream is chunked.  Each chunk's
+    passes go through the engine one call per depth cap.
+
+    Returns:
+        Mapping ``(capacity_bytes, line_words, assoc) -> miss ratio``;
+        combinations whose geometry is infeasible (fewer lines than
+        ways) are omitted.
     """
     total = int(total_references)
     grid: dict[tuple[int, int, int], float] = {}
@@ -249,6 +173,7 @@ def cache_miss_ratio_grid_chunked(
         start = consumed
         consumed += len(chunk)
         raw_count_from = min(max(warm - start, 0), len(chunk))
+        feeds = []
         for line_words, state in per_line.items():
             ids = line_ids_for(chunk, line_words)
             keep = np.empty(len(ids), dtype=bool)
@@ -258,8 +183,11 @@ def cache_miss_ratio_grid_chunked(
             deduped_count_from = int(keep[:raw_count_from].sum())
             state["deduped_counted"] += len(deduped) - deduped_count_from
             state["last_id"] = int(ids[-1])
-            for sim in state["sims"].values():
-                sim.feed(deduped, count_from=deduped_count_from)
+            feeds += [
+                (sim, deduped, None, deduped_count_from)
+                for sim in state["sims"].values()
+            ]
+        feed_together(feeds)
     if consumed != total:
         raise ValueError(
             f"chunks supplied {consumed} references, expected {total}"

@@ -13,23 +13,19 @@ The same idea with a single global stack gives the full miss-ratio
 curve of a fully-associative structure (used for the TLB study of
 Figure 7: one pass yields misses for every TLB size).
 
-The per-reference depths come from :mod:`repro.memsim.engine` (native
-C kernel or vectorized NumPy, selectable via ``REPRO_ENGINE``); each
-public function keeps its original interpreted loop as a
-``*_reference`` twin, which the differential tests hold bit-identical
-to the fast paths.
+Every pass runs through :class:`StreamingStackDistance`, which feeds
+a stream in chunks (a materialized stream is one chunk) and takes its
+per-reference depths from :mod:`repro.memsim.engine` (native C kernel
+or vectorized NumPy, selectable via ``REPRO_ENGINE``).  The original
+interpreted loops remain as ``*_reference`` oracles, which the
+differential tests hold bit-identical to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.memsim.engine import lru_depths
-
-
-def _depth_histogram(depths: np.ndarray, cap: int, count_from: int) -> np.ndarray:
-    """histogram[d] = counted references with stack distance exactly d < cap."""
-    return np.bincount(depths[count_from:], minlength=cap + 1)[:cap]
+from repro.memsim.engine import multi_group_depths
 
 
 def set_associative_hit_counts(
@@ -55,10 +51,9 @@ def set_associative_hit_counts(
         the number of references that hit in a k-way, ``n_sets``-set
         LRU cache (capacity = n_sets * k lines).
     """
-    line_ids = np.asarray(line_ids, dtype=np.int64)
-    depths = lru_depths(line_ids, n_sets, max_assoc, engine=engine)
-    # hits[k-1] = refs with stack distance < k.
-    return np.cumsum(_depth_histogram(depths, max_assoc, count_from))
+    sim = StreamingStackDistance(n_sets, max_assoc, engine=engine)
+    sim.feed(line_ids, count_from=count_from)
+    return sim.hit_counts()
 
 
 def set_associative_hit_counts_reference(
@@ -113,12 +108,9 @@ def fully_associative_miss_curve(
         Array of miss counts aligned with ``sizes``.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    max_size = int(sizes.max())
-    ids = np.asarray(ids, dtype=np.int64)
-    depths = lru_depths(ids, 1, max_size, engine=engine)
-    counted = max(len(ids) - count_from, 0)
-    cumulative_hits = np.cumsum(_depth_histogram(depths, max_size, count_from))
-    return counted - cumulative_hits[sizes - 1]
+    sim = StreamingStackDistance(1, int(sizes.max()), engine=engine)
+    sim.feed(ids, count_from=count_from)
+    return sim.miss_counts()[sizes - 1]
 
 
 def fully_associative_miss_curve_reference(
@@ -161,9 +153,9 @@ class StreamingStackDistance:
     """Chunk-streaming LRU stack-distance pass with carried state.
 
     Feeding a reference stream chunk by chunk produces depth statistics
-    *bit-identical* to one :func:`lru_depths` pass over the whole
-    stream, while holding only one chunk (plus the stack state) in
-    memory.  The trick is that an LRU stack under
+    *bit-identical* to one :func:`~repro.memsim.engine.lru_depths`
+    pass over the whole stream, while holding only one chunk (plus the
+    stack state) in memory.  The trick is that an LRU stack under
     insert-at-top / move-to-front / pop-beyond-``max_assoc`` semantics
     is exactly the set's ``max_assoc`` most recently touched distinct
     ids ordered by last touch — so the state after a chunk can be
@@ -171,6 +163,11 @@ class StreamingStackDistance:
     set's stack LRU-first as a synthetic priming prefix before the next
     chunk, then discarding the prefix's depths.  The fast native and
     vectorized kernels need no carried-state API at all.
+
+    The stack state after a chunk is worked out only when it is next
+    needed — by the following ``feed``, :meth:`export_stacks` or
+    :meth:`import_stacks` — so a materialized trace fed as a single
+    chunk costs one plain engine pass.
 
     ``n_sets == 1`` gives the fully-associative single-stack pass used
     by the TLB study.  With ``track_flags=True`` a per-reference class
@@ -196,6 +193,8 @@ class StreamingStackDistance:
         # Stack state, grouped by set in rank (MRU-first) order.
         self._stack_ids = np.empty(0, dtype=np.int64)
         self._stack_sets = np.empty(0, dtype=np.int64)
+        # The last chunk fed, not yet folded into the stack state.
+        self._pending: np.ndarray | None = None
         self._hist = np.zeros(max_assoc, dtype=np.int64)
         self._flag_hist = np.zeros(max_assoc, dtype=np.int64)
         self._counted = 0
@@ -211,13 +210,19 @@ class StreamingStackDistance:
         group = np.cumsum(fresh) - 1
         return np.arange(len(sets), dtype=np.int64) - starts[group]
 
-    def _prefix(self) -> np.ndarray:
-        """The priming prefix: every set's stack replayed LRU-first."""
+    def _primed(self, ids: np.ndarray) -> np.ndarray:
+        """``ids`` behind the priming prefix (each set's stack, LRU-first)."""
+        self._settle()
         if not len(self._stack_ids):
-            return np.empty(0, dtype=np.int64)
+            return ids
         rank = self._ranks(self._stack_sets)
         order = np.lexsort((-rank, self._stack_sets))
-        return self._stack_ids[order]
+        return np.concatenate([self._stack_ids[order], ids])
+
+    def _settle(self) -> None:
+        if self._pending is not None:
+            self._update_stacks(self._pending)
+            self._pending = None
 
     def _update_stacks(self, ids: np.ndarray) -> None:
         # Distinct chunk ids, most recently touched first.
@@ -263,13 +268,17 @@ class StreamingStackDistance:
         callers that need per-reference miss flags — the timing unit —
         can derive them without a second pass.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        if len(ids) == 0:
-            return np.empty(0, dtype=np.int16)
-        prefix = self._prefix()
-        full = np.concatenate([prefix, ids]) if len(prefix) else ids
-        depths = lru_depths(full, self.n_sets, self.max_assoc, engine=self.engine)
-        chunk_depths = depths[len(prefix):]
+        return feed_together([(self, ids, flags, count_from)])[0]
+
+    def _absorb(
+        self,
+        ids: np.ndarray,
+        depths: np.ndarray,
+        flags: np.ndarray | None,
+        count_from: int,
+    ) -> np.ndarray:
+        """Count one chunk's depths (behind its prefix) and keep the chunk."""
+        chunk_depths = depths[len(depths) - len(ids):]
         window = chunk_depths[count_from:]
         self._hist += np.bincount(window, minlength=self.max_assoc + 1)[
             : self.max_assoc
@@ -283,7 +292,7 @@ class StreamingStackDistance:
                 window[flag_window], minlength=self.max_assoc + 1
             )[: self.max_assoc]
             self._flagged_counted += int(flag_window.sum())
-        self._update_stacks(ids)
+        self._pending = ids
         return chunk_depths
 
     def export_stacks(self) -> dict[int, list[int]]:
@@ -295,6 +304,7 @@ class StreamingStackDistance:
         — round-trip it through the vectorized engine and back, so
         interleaving scalar and batched accesses stays bit-identical.
         """
+        self._settle()
         stacks: dict[int, list[int]] = {}
         for set_index, ident in zip(
             self._stack_sets.tolist(), self._stack_ids.tolist()
@@ -307,8 +317,10 @@ class StreamingStackDistance:
 
         Each id must map to its claimed set (``id & (n_sets - 1)``);
         stacks deeper than ``max_assoc`` are truncated to the tracked
-        depth, exactly as feeding would have capped them.
+        depth, exactly as feeding would have capped them.  A chunk fed
+        before the import no longer counts toward the state.
         """
+        self._pending = None
         sets: list[int] = []
         ids: list[int] = []
         for set_index in sorted(stacks):
@@ -346,42 +358,36 @@ class StreamingStackDistance:
         return self._flagged_counted - np.cumsum(self._flag_hist)
 
 
-def set_associative_miss_split(
-    ids: np.ndarray,
-    n_sets: int,
-    max_assoc: int,
-    class_flags: np.ndarray,
-    count_from: int = 0,
-    engine: str | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Misses per associativity, split by a per-reference class flag.
+def feed_together(feeds) -> list[np.ndarray]:
+    """Feed one chunk to each of several simulators; returns the depths.
 
-    Used by the TLB study, where misses on mapped *kernel* pages cost an
-    order of magnitude more than user-page misses: one pass yields
-    (total misses, flagged-class misses) for every associativity.
-
-    Args:
-        ids: reference identifiers (low bits = set index).
-        n_sets: number of sets.
-        max_assoc: deepest associativity of interest.
-        class_flags: boolean array; flagged references contribute to the
-            second returned array.
-
-    Returns:
-        ``(misses, flagged_misses)`` — arrays of length ``max_assoc``
-        where index k-1 corresponds to a k-way structure.
+    ``feeds`` holds ``(sim, ids, flags, count_from)`` tuples, with the
+    meaning of :meth:`StreamingStackDistance.feed`'s arguments.  The
+    result equals feeding each in turn, but every pass sharing an
+    engine and a depth cap goes through one :func:`multi_group_depths`
+    call, so the vectorized engine batches a whole grid per chunk.
+    Each ``ids`` array is kept until the next feed and must not be
+    modified in between.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    depths = lru_depths(ids, n_sets, max_assoc, engine=engine)
-    window = depths[count_from:]
-    flags = np.asarray(class_flags, dtype=bool)[count_from:]
-    total = len(window)
-    flagged_total = int(flags.sum())
-    hits = np.cumsum(np.bincount(window, minlength=max_assoc + 1)[:max_assoc])
-    flagged_hits = np.cumsum(
-        np.bincount(window[flags], minlength=max_assoc + 1)[:max_assoc]
-    )
-    return total - hits, flagged_total - flagged_hits
+    feeds = [
+        (sim, np.asarray(ids, dtype=np.int64), flags, count_from)
+        for sim, ids, flags, count_from in feeds
+    ]
+    out = [np.empty(0, dtype=np.int16) for _ in feeds]
+    by_cap: dict[tuple, list[int]] = {}
+    for index, (sim, ids, _flags, _from) in enumerate(feeds):
+        if len(ids):
+            by_cap.setdefault((sim.engine, sim.max_assoc), []).append(index)
+    for (engine, cap), members in by_cap.items():
+        groups = []
+        for i in members:
+            sim, ids = feeds[i][:2]
+            groups.append((sim._primed(ids), [sim.n_sets]))
+        results = multi_group_depths(groups, cap, engine=engine)
+        for i, result in zip(members, results):
+            sim, ids, flags, count_from = feeds[i]
+            out[i] = sim._absorb(ids, result[sim.n_sets], flags, count_from)
+    return out
 
 
 def set_associative_miss_split_reference(
@@ -391,7 +397,11 @@ def set_associative_miss_split_reference(
     class_flags: np.ndarray,
     count_from: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interpreted twin of :func:`set_associative_miss_split`."""
+    """Interpreted (total, flagged) misses per associativity.
+
+    The oracle for :class:`StreamingStackDistance` with
+    ``track_flags=True`` — the TLB study's user/kernel miss split.
+    """
     if n_sets < 1 or n_sets & (n_sets - 1):
         raise ValueError("n_sets must be a positive power of two")
     hits_by_depth = [0] * max_assoc
@@ -427,43 +437,16 @@ def set_associative_miss_split_reference(
     return misses, flagged_misses
 
 
-def fully_associative_miss_split(
-    ids: np.ndarray,
-    sizes: list[int] | np.ndarray,
-    class_flags: np.ndarray,
-    count_from: int = 0,
-    engine: str | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fully-associative miss curve split by a per-reference class flag.
-
-    Single-stack analogue of :func:`set_associative_miss_split`; returns
-    ``(misses, flagged_misses)`` aligned with ``sizes``.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    max_size = int(sizes.max())
-    ids = np.asarray(ids, dtype=np.int64)
-    depths = lru_depths(ids, 1, max_size, engine=engine)
-    window = depths[count_from:]
-    flags = np.asarray(class_flags, dtype=bool)[count_from:]
-    total = len(window)
-    flagged_total = int(flags.sum())
-    cumulative = np.cumsum(np.bincount(window, minlength=max_size + 1)[:max_size])
-    flagged_cumulative = np.cumsum(
-        np.bincount(window[flags], minlength=max_size + 1)[:max_size]
-    )
-    return (
-        total - cumulative[sizes - 1],
-        flagged_total - flagged_cumulative[sizes - 1],
-    )
-
-
 def fully_associative_miss_split_reference(
     ids: np.ndarray,
     sizes: list[int] | np.ndarray,
     class_flags: np.ndarray,
     count_from: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interpreted twin of :func:`fully_associative_miss_split`."""
+    """Interpreted fully-associative (total, flagged) misses per size.
+
+    Single-stack analogue of :func:`set_associative_miss_split_reference`.
+    """
     sizes = np.asarray(sizes, dtype=np.int64)
     max_size = int(sizes.max())
     histogram = [0] * max_size

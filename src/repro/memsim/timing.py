@@ -24,9 +24,10 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.memsim.multiconfig import StreamingMissFlags, line_ids_for, miss_flags_lru
+from repro.memsim.multiconfig import line_ids_for
+from repro.memsim.stackdist import StreamingStackDistance
 from repro.memsim.types import AccessKind
-from repro.memsim.write_buffer import StreamingWriteBuffer, simulate_write_buffer
+from repro.memsim.write_buffer import StreamingWriteBuffer
 from repro.units import PAGE_SHIFT, VPN_BITS, WORD_BYTES
 
 if TYPE_CHECKING:  # avoid a circular import; traces import memsim types
@@ -112,9 +113,7 @@ class SystemTimingResult:
         return {k: v / overhead for k, v in self.cpi_components.items()}
 
 
-def _tlb_ids(vpns: np.ndarray, asids: np.ndarray) -> np.ndarray:
-    """Combine VPN and ASID so low bits remain the TLB set index."""
-    return (asids.astype(np.int64) << VPN_BITS) | vpns.astype(np.int64)
+_SYSTEM_FIELDS = ("addresses", "physical", "kinds", "asids", "mapped", "kernel")
 
 
 def simulate_system(
@@ -124,8 +123,38 @@ def simulate_system(
 ) -> SystemTimingResult:
     """Attribute every stall cycle in *trace* under *config*.
 
+    A materialized trace fed to :func:`simulate_system_stream` as a
+    single chunk.
+    """
+    return simulate_system_stream(
+        [{name: getattr(trace, name) for name in _SYSTEM_FIELDS}],
+        len(trace),
+        trace.other_cpi,
+        config,
+        warmup_fraction=warmup_fraction,
+    )
+
+
+def simulate_system_stream(
+    chunks,
+    total_references: int,
+    other_cpi: float,
+    config: SystemConfig,
+    warmup_fraction: float = 0.0,
+) -> SystemTimingResult:
+    """Attribute every stall cycle of a chunked trace under *config*.
+
     Args:
-        trace: the reference stream to run.
+        chunks: dicts with the six reference-field arrays
+            (``addresses``/``physical``/``kinds``/``asids``/``mapped``/
+            ``kernel``) in program order, their lengths summing to
+            ``total_references``; only one chunk is held at a time.
+            All carried state — per-structure LRU stacks, the
+            completion-time cursor and the write buffer's
+            occupancy/slip — makes the result independent of how the
+            trace is chunked.
+        total_references: the trace length.
+        other_cpi: the trace's non-memory stall CPI.
         config: the memory-system configuration.
         warmup_fraction: leading fraction of the trace used only to
             prime the caches/TLB; misses and cycles are counted over
@@ -137,121 +166,6 @@ def simulate_system(
         A :class:`SystemTimingResult` whose ``cpi_components`` mirror the
         TLB / I-cache / D-cache / Write Buffer / Other columns of the
         paper's Tables 3 and 4.
-    """
-    n = len(trace)
-    warm = int(n * warmup_fraction)
-    kinds = trace.kinds
-    ifetch_mask = kinds == AccessKind.IFETCH
-    load_mask = kinds == AccessKind.LOAD
-    store_mask = kinds == AccessKind.STORE
-    instructions = int(ifetch_mask[warm:].sum())
-
-    penalties = np.zeros(n, dtype=np.int64)
-
-    # --- I-cache ---------------------------------------------------------
-    ifetch_idx = np.flatnonzero(ifetch_mask)
-    i_sets = config.icache_bytes // (
-        config.icache_line_words * WORD_BYTES * config.icache_assoc
-    )
-    i_ids = line_ids_for(trace.physical[ifetch_idx], config.icache_line_words)
-    i_miss = miss_flags_lru(i_ids, i_sets, config.icache_assoc)
-    i_penalty = config.cache_penalty(config.icache_line_words)
-    penalties[ifetch_idx[i_miss]] += i_penalty
-    icache_misses = int(i_miss[ifetch_idx >= warm].sum())
-
-    # --- D-cache (loads stall; stores are write-through, no-allocate) ----
-    load_idx = np.flatnonzero(load_mask)
-    d_sets = config.dcache_bytes // (
-        config.dcache_line_words * WORD_BYTES * config.dcache_assoc
-    )
-    d_ids = line_ids_for(trace.physical[load_idx], config.dcache_line_words)
-    d_miss = miss_flags_lru(d_ids, d_sets, config.dcache_assoc)
-    d_penalty = config.cache_penalty(config.dcache_line_words)
-    penalties[load_idx[d_miss]] += d_penalty
-    dcache_misses = int(d_miss[load_idx >= warm].sum())
-
-    # --- TLB (mapped references only) ------------------------------------
-    mapped_idx = np.flatnonzero(trace.mapped)
-    tlb_user_misses = tlb_kernel_misses = 0
-    if len(mapped_idx):
-        vpns = trace.addresses[mapped_idx] >> PAGE_SHIFT
-        ids = _tlb_ids(vpns, trace.asids[mapped_idx])
-        if config.tlb_assoc == "full":
-            t_sets, t_ways = 1, config.tlb_entries
-        else:
-            t_ways = int(config.tlb_assoc)
-            t_sets = config.tlb_entries // t_ways
-        t_miss = miss_flags_lru(ids, t_sets, t_ways)
-        kernel = trace.kernel[mapped_idx]
-        tlb_pen = np.where(
-            kernel, config.tlb_kernel_penalty, config.tlb_user_penalty
-        )
-        penalties[mapped_idx] += t_miss * tlb_pen
-        measured = mapped_idx >= warm
-        tlb_kernel_misses = int((t_miss & kernel & measured).sum())
-        tlb_user_misses = int((t_miss & ~kernel & measured).sum())
-
-    # --- Write buffer -----------------------------------------------------
-    base = ifetch_mask.astype(np.int64)
-    completion = np.cumsum(base + penalties)
-    store_idx = np.flatnonzero(store_mask)
-    wb_result = simulate_write_buffer(
-        completion[store_idx],
-        depth=config.wb_depth,
-        retire_cycles=config.wb_retire_cycles,
-        count_from=int((store_idx < warm).sum()),
-    )
-
-    other_cycles = trace.other_cpi * instructions
-    tlb_cycles = (
-        tlb_user_misses * config.tlb_user_penalty
-        + tlb_kernel_misses * config.tlb_kernel_penalty
-    )
-    icache_cycles = icache_misses * i_penalty
-    dcache_cycles = dcache_misses * d_penalty
-    total_cycles = (
-        instructions
-        + icache_cycles
-        + dcache_cycles
-        + tlb_cycles
-        + wb_result.stall_cycles
-        + other_cycles
-    )
-    per_instr = 1.0 / instructions if instructions else 0.0
-    return SystemTimingResult(
-        instructions=instructions,
-        cycles=float(total_cycles),
-        icache_misses=icache_misses,
-        dcache_misses=dcache_misses,
-        tlb_user_misses=tlb_user_misses,
-        tlb_kernel_misses=tlb_kernel_misses,
-        wb_stall_cycles=wb_result.stall_cycles,
-        cpi_components={
-            "tlb": tlb_cycles * per_instr,
-            "icache": icache_cycles * per_instr,
-            "dcache": dcache_cycles * per_instr,
-            "write_buffer": wb_result.stall_cycles * per_instr,
-            "other": trace.other_cpi,
-        },
-    )
-
-
-def simulate_system_stream(
-    chunks,
-    total_references: int,
-    other_cpi: float,
-    config: SystemConfig,
-    warmup_fraction: float = 0.0,
-) -> SystemTimingResult:
-    """Chunk-streaming twin of :func:`simulate_system`.
-
-    ``chunks`` yields dicts with the six reference-field arrays
-    (``addresses``/``physical``/``kinds``/``asids``/``mapped``/
-    ``kernel``) in program order, their lengths summing to
-    ``total_references``; only one chunk is held at a time.  All
-    carried state — per-structure LRU stacks, the completion-time
-    cursor and the write buffer's occupancy/slip — makes the result
-    bit-identical to the batch pass.
     """
     n = int(total_references)
     warm = int(n * warmup_fraction)
@@ -267,9 +181,9 @@ def simulate_system_stream(
     else:
         t_ways = int(config.tlb_assoc)
         t_sets = config.tlb_entries // t_ways
-    i_sim = StreamingMissFlags(i_sets, config.icache_assoc)
-    d_sim = StreamingMissFlags(d_sets, config.dcache_assoc)
-    t_sim = StreamingMissFlags(t_sets, t_ways)
+    i_sim = StreamingStackDistance(i_sets, config.icache_assoc)
+    d_sim = StreamingStackDistance(d_sets, config.dcache_assoc)
+    t_sim = StreamingStackDistance(t_sets, t_ways)
     wb_sim = StreamingWriteBuffer(
         depth=config.wb_depth, retire_cycles=config.wb_retire_cycles
     )
@@ -287,7 +201,8 @@ def simulate_system_stream(
         size = len(kinds)
         if size == 0:
             continue
-        start = consumed
+        # The warmup boundary, relative to this chunk.
+        local_warm = warm - consumed
         consumed += size
         physical = chunk["physical"]
         ifetch_mask = kinds == AccessKind.IFETCH
@@ -296,42 +211,44 @@ def simulate_system_stream(
         penalties = np.zeros(size, dtype=np.int64)
 
         ifetch_idx = np.flatnonzero(ifetch_mask)
+        # A depth at the cap is a miss.
         i_miss = i_sim.feed(
             line_ids_for(physical[ifetch_idx], config.icache_line_words)
-        )
+        ) == config.icache_assoc
         penalties[ifetch_idx[i_miss]] += i_penalty
-        measured_i = start + ifetch_idx >= warm
+        measured_i = ifetch_idx >= local_warm
         instructions += int(measured_i.sum())
         icache_misses += int(i_miss[measured_i].sum())
 
         load_idx = np.flatnonzero(load_mask)
         d_miss = d_sim.feed(
             line_ids_for(physical[load_idx], config.dcache_line_words)
-        )
+        ) == config.dcache_assoc
         penalties[load_idx[d_miss]] += d_penalty
-        dcache_misses += int(d_miss[start + load_idx >= warm].sum())
+        dcache_misses += int(d_miss[load_idx >= local_warm].sum())
 
         mapped_idx = np.flatnonzero(chunk["mapped"])
         if len(mapped_idx):
             vpns = np.asarray(chunk["addresses"], dtype=np.int64)[mapped_idx] >> PAGE_SHIFT
-            ids = _tlb_ids(vpns, np.asarray(chunk["asids"])[mapped_idx])
-            t_miss = t_sim.feed(ids)
+            asids = np.asarray(chunk["asids"])[mapped_idx]
+            t_miss = t_sim.feed((asids.astype(np.int64) << VPN_BITS) | vpns) == t_ways
             kernel = np.asarray(chunk["kernel"], dtype=bool)[mapped_idx]
             tlb_pen = np.where(
                 kernel, config.tlb_kernel_penalty, config.tlb_user_penalty
             )
             penalties[mapped_idx] += t_miss * tlb_pen
-            measured = start + mapped_idx >= warm
+            measured = mapped_idx >= local_warm
             tlb_kernel_misses += int((t_miss & kernel & measured).sum())
             tlb_user_misses += int((t_miss & ~kernel & measured).sum())
 
         base = ifetch_mask.astype(np.int64)
-        completion = completion_carry + np.cumsum(base + penalties)
+        completion = np.cumsum(base + penalties)
+        completion += completion_carry
         completion_carry = int(completion[-1])
         store_idx = np.flatnonzero(store_mask)
         wb_sim.feed(
             completion[store_idx],
-            count_from=int((start + store_idx < warm).sum()),
+            count_from=int((store_idx < local_warm).sum()),
         )
 
     if consumed != n:

@@ -241,11 +241,6 @@ class ReferenceTrace:
         """Number of store references."""
         return int(np.count_nonzero(self.kinds == AccessKind.STORE))
 
-    @property
-    def vpns(self) -> np.ndarray:
-        """Virtual page number of every reference."""
-        return self.addresses >> PAGE_SHIFT
-
     def ifetch_addresses(self) -> np.ndarray:
         """Virtual addresses of instruction fetches, in order."""
         return self.addresses[self.kinds == AccessKind.IFETCH]
@@ -274,10 +269,6 @@ class ReferenceTrace:
         """Virtual addresses of loads and stores, in order."""
         return self.addresses[self.kinds != AccessKind.IFETCH]
 
-    def data_physical(self) -> np.ndarray:
-        """Physical addresses of loads and stores, in order."""
-        return self.physical[self.kinds != AccessKind.IFETCH]
-
     def mapped_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(vpn, asid, kernel) arrays for TLB-translated references."""
         mask = self.mapped
@@ -301,6 +292,24 @@ class ReferenceTrace:
             workload=self.workload,
             os_name=self.os_name,
         )
+
+    def _field(self, name: str) -> np.ndarray:
+        if name in ("ifetch_physical", "load_physical"):
+            return getattr(self, name)()
+        return getattr(self, name)
+
+    def count(self, name: str) -> int:
+        """Element count of one field (as :class:`TraceStream` reports)."""
+        return len(self._field(name))
+
+    def chunks(self, fields):
+        """The whole trace as one ``(start, stop, {field: array})`` window.
+
+        The same iteration :meth:`repro.trace.tracestore.TraceStream.
+        chunks` offers, so measurement reads a materialized trace as a
+        single chunk of the streaming kernels.
+        """
+        yield 0, len(self), {name: self._field(name) for name in fields}
 
     def save(self, path: str | Path) -> None:
         """Persist the trace as a compressed .npz file."""

@@ -16,6 +16,7 @@ from repro.core.hierarchy import (
     build_two_level_space,
 )
 from repro.core.measure import measure_workload
+from repro.core.multiopt import exhaustive_best_many
 from repro.errors import BudgetError
 from repro.units import KB
 
@@ -187,11 +188,18 @@ def test_full_two_level_space_matches_exhaustive(os_name):
 
     area_lo, area_span = span([s.areas for s in space.structures])
     power_lo, power_span = span([s.powers for s in space.structures])
-    for i in range(1, 9):
-        assert_matches_exhaustive(space, area_lo + area_span * i / 9, None)
-    for area_frac, power_frac in ((0.2, 0.6), (0.4, 0.3), (0.6, 0.2), (0.8, 0.4)):
-        assert_matches_exhaustive(
-            space,
-            area_lo + area_span * area_frac,
-            power_lo + power_span * power_frac,
-        )
+    budgets = [(area_lo + area_span * i / 9, None) for i in range(1, 9)]
+    budgets += [
+        (area_lo + area_span * area_frac, power_lo + power_span * power_frac)
+        for area_frac, power_frac in ((0.2, 0.6), (0.4, 0.3), (0.6, 0.2), (0.8, 0.4))
+    ]
+    # One pass over the cross product answers all 12 budgets.
+    exact = exhaustive_best_many(
+        list(space.structures), budgets, fixed_cpi=space.fixed_cpi
+    )
+    for (budget, power_budget), want in zip(budgets, exact):
+        if want is None:
+            with pytest.raises(BudgetError):
+                space.best(budget, power_budget_mw=power_budget)
+        else:
+            assert space.best(budget, power_budget_mw=power_budget) == want

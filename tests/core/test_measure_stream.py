@@ -1,8 +1,10 @@
-"""Streaming measurement units must be bit-identical to batch units.
+"""Measurement units must not depend on how the trace is chunked.
 
-Forces a stream chunk far smaller than the trace so every unit takes
-the chunked path, then compares each unit's output — and a whole
-``measure_workload`` — against the materialized batch path.
+Every unit reads its trace through one set of chunked kernels; a
+materialized trace is a single chunk.  These tests compare each unit's
+output — and a whole ``measure_workload`` — at stream chunk sizes that
+hold the whole trace, divide it, and do not divide it, under every
+tracestore codec, against the trace measured in memory as one chunk.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import measure
+from repro.trace import tracestore
 
 REFS = 40_000
 SEED = 1
@@ -21,6 +24,11 @@ ASSOCS = (1, 2)
 TLB_ENTRIES = (16, 64)
 TLB_ASSOCS = (1, 2)
 TLB_FULL_MAX = 64
+
+# Multiples of 64: at least the trace length (one chunk), a divisor of
+# REFS, and a size that leaves a ragged last chunk.
+CHUNKS = (40_064, 8_000, 4_096)
+CODECS = ("raw", "zlib", "lzma")
 
 
 @pytest.fixture
@@ -43,6 +51,19 @@ def _unit_specs():
     return specs
 
 
+@pytest.fixture(scope="module")
+def one_chunk_outputs():
+    """Every unit over the trace generated in memory (plane off)."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_TRACE_CACHE", "off")
+    measure._worker_traces.clear()
+    try:
+        yield [measure._measure_unit(s) for s in _unit_specs()]
+    finally:
+        patch.undo()
+        measure._worker_traces.clear()
+
+
 class TestStreamingUnits:
     def test_streaming_dispatch_threshold(self, isolated, monkeypatch):
         monkeypatch.setenv("REPRO_STREAM_CHUNK", "4096")
@@ -53,14 +74,23 @@ class TestStreamingUnits:
         monkeypatch.setenv("REPRO_STREAM_CHUNK", "4096")
         assert not measure._use_streaming(REFS)
 
-    def test_every_unit_bit_identical(self, isolated, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_CHUNK", str(1 << 30))
-        batch = [measure._measure_unit(s) for s in _unit_specs()]
-        measure._worker_traces.clear()
-        monkeypatch.setenv("REPRO_STREAM_CHUNK", "4096")
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_every_unit_bit_identical(
+        self, isolated, monkeypatch, one_chunk_outputs, chunk, codec
+    ):
+        monkeypatch.setenv("REPRO_STREAM_CHUNK", str(chunk))
+        if codec != "raw":
+            monkeypatch.setenv("REPRO_TRACE_COMPRESS", codec)
+            # Blocks that straddle chunk boundaries.
+            monkeypatch.setenv("REPRO_TRACE_COMPRESS_BLOCK", "6000")
         streamed = [measure._measure_unit(s) for s in _unit_specs()]
-        for spec, b, s in zip(_unit_specs(), batch, streamed):
-            assert b == s, spec[0]
+        assert measure._use_streaming(REFS) == (chunk < REFS)
+        entry = tracestore.stream(*PAIR, REFS, seed=SEED)
+        assert entry.codec == (None if codec == "raw" else codec)
+        assert entry.chunk_references == chunk
+        for spec, want, got in zip(_unit_specs(), one_chunk_outputs, streamed):
+            assert got == want, spec[0]
 
     def test_measure_workload_bit_identical(self, isolated, tmp_path, monkeypatch):
         kwargs = dict(
@@ -75,9 +105,11 @@ class TestStreamingUnits:
         )
         monkeypatch.setenv("REPRO_STREAM_CHUNK", str(1 << 30))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-batch"))
-        batch = measure.measure_workload(*PAIR, **kwargs)
+        whole = measure.measure_workload(*PAIR, **kwargs)
         measure._worker_traces.clear()
         monkeypatch.setenv("REPRO_STREAM_CHUNK", "4096")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-stream"))
+        # A fresh plane, so the entry is written (and read) in 4096s.
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces-stream"))
         streamed = measure.measure_workload(*PAIR, **kwargs)
-        assert batch == streamed
+        assert whole == streamed

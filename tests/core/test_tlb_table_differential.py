@@ -25,6 +25,13 @@ ASSOCS = (1, 2, 4)
 FULL_MAX = 64
 
 
+class _Columns(SimpleNamespace):
+    """Trace columns, read as one chunk the way measurement reads a trace."""
+
+    def chunks(self, fields):
+        yield 0, len(self.mapped), {name: getattr(self, name) for name in fields}
+
+
 def _random_trace(rng, n=4000, vpn_span=300, asids=4):
     """A synthetic trace with locality, ASID mixing, and unmapped gaps.
 
@@ -46,7 +53,7 @@ def _random_trace(rng, n=4000, vpn_span=300, asids=4):
     asid = rng.integers(0, asids, size=n).astype(np.int64)
     kernel = vpns >= (vpn_span // 2)
     mapped = rng.random(n) < 0.9
-    return SimpleNamespace(
+    return _Columns(
         addresses=vpns << PAGE_SHIFT,
         asids=asid,
         kernel=kernel,
@@ -107,7 +114,7 @@ def test_tlb_table_no_warmup_counts_everything():
 
 
 def test_tlb_table_empty_trace():
-    trace = SimpleNamespace(
+    trace = _Columns(
         addresses=np.array([], dtype=np.int64),
         asids=np.array([], dtype=np.int64),
         kernel=np.array([], dtype=bool),

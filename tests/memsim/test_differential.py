@@ -19,17 +19,15 @@ from repro.memsim.engine import lru_depths, multi_group_depths, native_available
 from repro.memsim.multiconfig import (
     cache_miss_ratio_grid,
     cache_miss_ratio_grid_reference,
-    miss_flags_lru,
     miss_flags_lru_reference,
 )
 from repro.memsim.stackdist import (
+    StreamingStackDistance,
     fully_associative_miss_curve,
     fully_associative_miss_curve_reference,
-    fully_associative_miss_split,
     fully_associative_miss_split_reference,
     set_associative_hit_counts,
     set_associative_hit_counts_reference,
-    set_associative_miss_split,
     set_associative_miss_split_reference,
 )
 from repro.memsim.tlb import Tlb
@@ -70,6 +68,20 @@ def synthetic_addresses(rng: np.random.Generator, n: int = 5000) -> np.ndarray:
             pos = int(chunks[-1][-1])
     words = np.concatenate(chunks)[:n]
     return words.astype(np.int64) * WORD_BYTES
+
+
+def miss_split(ids, n_sets, max_assoc, flags, count_from=0, engine=None):
+    """(misses, flagged misses) per associativity from one flagged pass."""
+    sim = StreamingStackDistance(n_sets, max_assoc, engine=engine, track_flags=True)
+    sim.feed(ids, flags, count_from=count_from)
+    return sim.miss_counts(), sim.flagged_miss_counts()
+
+
+def fa_miss_split(ids, sizes, flags, count_from=0, engine=None):
+    """Fully-associative (misses, flagged misses) aligned with ``sizes``."""
+    misses, flagged = miss_split(ids, 1, max(sizes), flags, count_from, engine)
+    index = np.asarray(sizes) - 1
+    return misses[index], flagged[index]
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +128,7 @@ class TestGridVsCacheSimulator:
         sim = Cache(2048, 4, 2)
         result = sim.simulate(trace_addresses, record_flags=True)
         line_ids = trace_addresses >> 4  # 4 words = 16 bytes
-        flags = miss_flags_lru(line_ids, sim.sets, 2)
+        flags = StreamingStackDistance(sim.sets, 2).feed(line_ids) == 2
         np.testing.assert_array_equal(flags, result.miss_flags)
         np.testing.assert_array_equal(
             miss_flags_lru_reference(line_ids, sim.sets, 2), result.miss_flags
@@ -191,9 +203,7 @@ class TestTlbDifferential:
         sim = Tlb(entries, assoc)
         result = sim.simulate(vpns, asids, kernel)
         ids = (asids << VPN_BITS) | vpns
-        misses, kernel_misses = set_associative_miss_split(
-            ids, entries // assoc, assoc, kernel
-        )
+        misses, kernel_misses = miss_split(ids, entries // assoc, assoc, kernel)
         assert int(misses[assoc - 1]) == result.misses
         assert int(kernel_misses[assoc - 1]) == result.kernel_misses
         assert int(misses[assoc - 1] - kernel_misses[assoc - 1]) == result.user_misses
@@ -202,7 +212,7 @@ class TestTlbDifferential:
         vpns, asids, kernel = tlb_stream
         ids = (asids << VPN_BITS) | vpns
         sizes = [16, 64, 128]
-        misses, kernel_misses = fully_associative_miss_split(ids, sizes, kernel)
+        misses, kernel_misses = fa_miss_split(ids, sizes, kernel)
         for size, total, k in zip(sizes, misses, kernel_misses):
             sim = Tlb(size, "full")
             result = sim.simulate(vpns, asids, kernel)
@@ -213,15 +223,13 @@ class TestTlbDifferential:
         vpns, asids, kernel = tlb_stream
         ids = (asids << VPN_BITS) | vpns
         for engine in ENGINES:
-            fast = set_associative_miss_split(
-                ids, 16, 4, kernel, count_from=500, engine=engine
-            )
+            fast = miss_split(ids, 16, 4, kernel, count_from=500, engine=engine)
             ref = set_associative_miss_split_reference(
                 ids, 16, 4, kernel, count_from=500
             )
             np.testing.assert_array_equal(fast[0], ref[0])
             np.testing.assert_array_equal(fast[1], ref[1])
-            fast_fa = fully_associative_miss_split(
+            fast_fa = fa_miss_split(
                 ids, [8, 32], kernel, count_from=500, engine=engine
             )
             ref_fa = fully_associative_miss_split_reference(

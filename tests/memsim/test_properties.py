@@ -8,8 +8,9 @@ the physical-frame mapper's bijection property.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.memsim.multiconfig import dedupe_consecutive, miss_flags_lru
+from repro.memsim.multiconfig import dedupe_consecutive
 from repro.memsim.stackdist import (
+    StreamingStackDistance,
     fully_associative_miss_curve,
     set_associative_hit_counts,
 )
@@ -51,7 +52,7 @@ class TestTlbAgainstStackEngine:
         tlb = Tlb(entries, assoc)
         tlb.simulate(vpns, asids.astype(np.uint8))
         ids = (asids.astype(np.int64) << VPN_BITS) | vpns
-        flags = miss_flags_lru(ids, 16, assoc)
+        flags = StreamingStackDistance(16, assoc).feed(ids) == assoc
         assert tlb.result.misses == int(flags.sum())
 
 

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memsim.cache import Cache
-from repro.memsim.multiconfig import miss_flags_lru
 from repro.memsim.stackdist import (
+    StreamingStackDistance,
     compulsory_miss_count,
     fully_associative_miss_curve,
-    fully_associative_miss_split,
     set_associative_hit_counts,
-    set_associative_miss_split,
 )
 
 line_id_streams = st.lists(
@@ -80,7 +78,7 @@ class TestMissFlags:
     )
     def test_flags_sum_matches_stack_engine(self, ids, sets_log, assoc):
         n_sets = 1 << sets_log
-        flags = miss_flags_lru(ids, n_sets, assoc)
+        flags = StreamingStackDistance(n_sets, assoc).feed(ids) == assoc
         hits = set_associative_hit_counts(ids, n_sets, assoc)
         assert int(flags.sum()) == len(ids) - int(hits[assoc - 1])
 
@@ -104,8 +102,14 @@ class TestFullyAssociativeCurve:
         """The FA stack curve must match a 1-set LRU reference."""
         size = 1 << size_log
         misses = fully_associative_miss_curve(ids, [size])
-        flags = miss_flags_lru(ids, 1, size)
+        flags = StreamingStackDistance(1, size).feed(ids) == size
         assert int(misses[0]) == int(flags.sum())
+
+
+def _miss_split(ids, n_sets, max_assoc, flags):
+    sim = StreamingStackDistance(n_sets, max_assoc, track_flags=True)
+    sim.feed(ids, flags)
+    return sim.miss_counts(), sim.flagged_miss_counts()
 
 
 class TestClassSplits:
@@ -113,7 +117,7 @@ class TestClassSplits:
         rng = np.random.default_rng(6)
         ids = rng.integers(0, 64, size=1500)
         flags = rng.random(1500) < 0.3
-        misses, flagged = set_associative_miss_split(ids, 4, 8, flags)
+        misses, flagged = _miss_split(ids, 4, 8, flags)
         plain_hits = set_associative_hit_counts(ids, 4, 8)
         assert (misses == len(ids) - plain_hits).all()
         assert (flagged <= misses).all()
@@ -123,7 +127,9 @@ class TestClassSplits:
         ids = rng.integers(0, 64, size=1500)
         flags = rng.random(1500) < 0.5
         sizes = [4, 16, 64]
-        misses, flagged = fully_associative_miss_split(ids, sizes, flags)
+        misses, flagged = _miss_split(ids, 1, max(sizes), flags)
+        index = np.asarray(sizes) - 1
+        misses, flagged = misses[index], flagged[index]
         curve = fully_associative_miss_curve(ids, sizes)
         assert (misses == curve).all()
         assert (flagged <= misses).all()
@@ -131,5 +137,5 @@ class TestClassSplits:
     def test_all_flagged_equals_total(self):
         ids = np.array([0, 1, 2, 0, 1, 2, 3])
         flags = np.ones(len(ids), dtype=bool)
-        misses, flagged = set_associative_miss_split(ids, 1, 2, flags)
+        misses, flagged = _miss_split(ids, 1, 2, flags)
         assert (misses == flagged).all()

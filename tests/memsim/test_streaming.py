@@ -1,9 +1,10 @@
-"""Streaming simulation kernels must be bit-identical to batch passes.
+"""Chunked simulation kernels must not depend on the chunking.
 
 Every chunked kernel carries its state (LRU stacks, dedupe boundary,
 completion-time cursor, write-buffer occupancy) across chunk
-boundaries; these tests drive each one against the whole-array kernel
-on the same data, at chunk sizes chosen to land mid-pattern.
+boundaries; these tests drive each one in chunks sized to land
+mid-pattern against the same data fed as a single chunk, and the
+single chunk against the interpreted reference kernels.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import pytest
 from repro.memsim.multiconfig import (
     cache_miss_ratio_grid,
     cache_miss_ratio_grid_chunked,
+    line_ids_for,
+    miss_flags_lru_reference,
 )
 from repro.memsim.stackdist import (
     StreamingStackDistance,
@@ -25,7 +28,12 @@ from repro.memsim.timing import (
     simulate_system,
     simulate_system_stream,
 )
-from repro.memsim.write_buffer import StreamingWriteBuffer, simulate_write_buffer
+from repro.memsim.write_buffer import (
+    StreamingWriteBuffer,
+    simulate_write_buffer,
+    simulate_write_buffer_reference,
+)
+from repro.units import PAGE_SHIFT, VPN_BITS, WORD_BYTES
 
 CHUNKS = (64, 1000, 4096, 7104)
 
@@ -66,6 +74,31 @@ class TestStreamingStackDistance:
         # Flagged misses never exceed total misses.
         flagged = sim.flagged_miss_counts()[np.asarray(sizes) - 1]
         assert np.all(flagged <= got)
+
+    def test_export_right_after_feed_is_settled(self, rng):
+        ids = rng.integers(0, 200, size=3000)
+        sim = StreamingStackDistance(8, 4)
+        sim.feed(ids)
+        expected: dict[int, list[int]] = {}
+        for ref in ids.tolist():
+            stack = expected.setdefault(ref & 7, [])
+            if ref in stack:
+                stack.remove(ref)
+            stack.insert(0, ref)
+            del stack[4:]
+        assert sim.export_stacks() == expected
+
+    def test_import_after_feed_drops_the_pending_chunk(self, rng):
+        first = rng.integers(0, 200, size=3000)
+        second = rng.integers(0, 200, size=3000)
+        stacks = {1: [9, 1], 6: [14]}
+        sim = StreamingStackDistance(8, 4)
+        sim.feed(first)
+        sim.import_stacks(stacks)
+        assert sim.export_stacks() == stacks
+        fresh = StreamingStackDistance(8, 4)
+        fresh.import_stacks(stacks)
+        assert np.array_equal(sim.feed(second), fresh.feed(second))
 
 
 class TestChunkedCacheGrid:
@@ -138,6 +171,54 @@ class TestStreamingSystemTiming:
             warmup_fraction=warmup,
         )
         assert streamed == batch
+
+    def test_one_chunk_matches_reference_kernels(self, ultrix_trace):
+        """The attribution rebuilt from the interpreted per-structure
+        kernels, over whole arrays, as the one-chunk pass must do it."""
+        trace = ultrix_trace.slice(0, 30_000)
+        config = DECSTATION_3100
+        warm = int(len(trace) * 0.4)
+        kinds = trace.kinds
+        penalties = np.zeros(len(trace), dtype=np.int64)
+        misses = {}
+        caches = (
+            ("icache", 0, config.icache_bytes, config.icache_line_words,
+             config.icache_assoc),
+            ("dcache", 1, config.dcache_bytes, config.dcache_line_words,
+             config.dcache_assoc),
+        )
+        for name, kind, size, line_words, assoc in caches:
+            idx = np.flatnonzero(kinds == kind)
+            n_sets = size // (line_words * WORD_BYTES * assoc)
+            ids = line_ids_for(trace.physical[idx], line_words)
+            flags = miss_flags_lru_reference(ids, n_sets, assoc)
+            penalties[idx[flags]] += config.cache_penalty(line_words)
+            misses[name] = int(flags[idx >= warm].sum())
+        mapped_idx = np.flatnonzero(trace.mapped)
+        ids = (trace.asids[mapped_idx].astype(np.int64) << VPN_BITS) | (
+            trace.addresses[mapped_idx] >> PAGE_SHIFT
+        )
+        t_miss = miss_flags_lru_reference(ids, 1, config.tlb_entries)
+        kernel = trace.kernel[mapped_idx]
+        penalties[mapped_idx] += t_miss * np.where(
+            kernel, config.tlb_kernel_penalty, config.tlb_user_penalty
+        )
+        measured = mapped_idx >= warm
+        completion = np.cumsum((kinds == 0).astype(np.int64) + penalties)
+        store_idx = np.flatnonzero(kinds == 2)
+        wb = simulate_write_buffer_reference(
+            completion[store_idx],
+            depth=config.wb_depth,
+            retire_cycles=config.wb_retire_cycles,
+            count_from=int((store_idx < warm).sum()),
+        )
+        result = simulate_system(trace, config, warmup_fraction=0.4)
+        assert result.instructions == int((kinds[warm:] == 0).sum())
+        assert result.icache_misses == misses["icache"]
+        assert result.dcache_misses == misses["dcache"]
+        assert result.tlb_kernel_misses == int((t_miss & kernel & measured).sum())
+        assert result.tlb_user_misses == int((t_miss & ~kernel & measured).sum())
+        assert result.wb_stall_cycles == wb.stall_cycles
 
     def test_rejects_short_chunk_supply(self, ultrix_trace):
         def one_chunk():

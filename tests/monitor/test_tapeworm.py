@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.configs import TlbConfig
-from repro.memsim.multiconfig import dedupe_consecutive, miss_flags_lru
+from repro.memsim.multiconfig import dedupe_consecutive
+from repro.memsim.stackdist import StreamingStackDistance
 from repro.monitor.tapeworm import Tapeworm
 from repro.units import PAGE_SHIFT, VPN_BITS
 
@@ -34,7 +35,7 @@ class TestTapeworm:
         vpns = trace.addresses[mapped_idx] >> PAGE_SHIFT
         ids = (trace.asids[mapped_idx].astype(np.int64) << VPN_BITS) | vpns
         (deduped,) = dedupe_consecutive(ids)
-        flags = miss_flags_lru(deduped, 1, 64)
+        flags = StreamingStackDistance(1, 64).feed(deduped) == 64
         assert reports[0].user_misses + reports[0].kernel_misses == int(flags.sum())
 
     def test_service_time_weights_kernel_misses(self, mach_trace):

@@ -99,14 +99,24 @@ class TestPareto:
     def test_frontier_is_nondominated(self, engine):
         frontier = engine.pareto("mach", max_budget=DEFAULT_BUDGET_RBES)
         full = engine.point("mach", DEFAULT_BUDGET_RBES)
-        for point in frontier:
-            dominated = any(
-                q.area_rbe <= point.area_rbe
-                and q.cpi <= point.cpi
-                and (q.area_rbe < point.area_rbe or q.cpi < point.cpi)
-                for q in full
-            )
-            assert not dominated
+        # Sorted by (area, cpi), some q dominates p iff a strictly
+        # smaller area has cpi <= p's (prefix min), or p's own area
+        # has a strictly smaller cpi (first in its area group).
+        area = np.array([a.area_rbe for a in full])
+        cpi = np.array([a.cpi for a in full])
+        order = np.lexsort((cpi, area))
+        area, cpi = area[order], cpi[order]
+        prefix_min = np.minimum.accumulate(cpi)
+        point_area = np.array([p.area_rbe for p in frontier])
+        point_cpi = np.array([p.cpi for p in frontier])
+        first = np.searchsorted(area, point_area, "left")
+        left_min = np.where(
+            first > 0, prefix_min[np.maximum(first - 1, 0)], np.inf
+        )
+        at = np.minimum(first, len(area) - 1)
+        same_area_min = np.where(area[at] == point_area, cpi[at], np.inf)
+        dominated = (left_min <= point_cpi) | (same_area_min < point_cpi)
+        assert not dominated.any()
 
     def test_every_nondominated_point_is_on_frontier(self, engine):
         frontier = engine.pareto("mach", max_budget=DEFAULT_BUDGET_RBES)

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from repro.errors import ConfigError
 from repro.memsim.multiconfig import cache_miss_ratio_grid_chunked
 from repro.trace import tracestore
 from repro.trace.generator import generate_trace
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 REFERENCES = 40_000
 
@@ -172,7 +175,7 @@ class TestCrashSafety:
             f"""
             import os, signal, sys
             import numpy as np
-            sys.path.insert(0, {os.path.join(os.getcwd(), "src")!r})
+            sys.path.insert(0, {str(REPO_ROOT / "src")!r})
             os.environ["REPRO_TRACE_COMPRESS"] = "zlib"
             os.environ["REPRO_TRACE_COMPRESS_BLOCK"] = "64"
             from repro.trace import tracestore
@@ -198,7 +201,7 @@ class TestCrashSafety:
         result = subprocess.run(
             [sys.executable, "-c", script],
             env=dict(os.environ),
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
         )
         assert result.returncode == -signal.SIGKILL
 

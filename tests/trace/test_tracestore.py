@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ import pytest
 from repro.errors import ConfigError, TraceError
 from repro.trace import generator, tracestore
 from repro.trace.generator import generate_trace
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 REFERENCES = 40_000
 
@@ -171,7 +174,7 @@ class TestCrashSafety:
             f"""
             import os, signal, sys
             import numpy as np
-            sys.path.insert(0, {repr(os.path.join(os.getcwd(), "src"))})
+            sys.path.insert(0, {str(REPO_ROOT / "src")!r})
             from repro.trace import tracestore
 
             key = tracestore.key_for(
@@ -195,7 +198,7 @@ class TestCrashSafety:
         )
         env = dict(os.environ)
         result = subprocess.run(
-            [sys.executable, "-c", script], env=env, cwd="/root/repo"
+            [sys.executable, "-c", script], env=env, cwd=REPO_ROOT
         )
         assert result.returncode == -signal.SIGKILL
 
