@@ -74,33 +74,39 @@ class SegmentAllocator:
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
         granules = self.ARENA_BYTES // self.GRANULE
-        self._free = list(self._rng.permutation(granules))
+        self._order = self._rng.permutation(granules).tolist()
+        self._taken = np.zeros(granules, dtype=bool)
 
     def allocate(self, size: int) -> int:
         """Reserve *size* bytes; returns a granule-aligned base address."""
         needed = max(1, (size + self.GRANULE - 1) // self.GRANULE)
         if needed == 1:
-            if not self._free:
-                raise ConfigurationError("address arena exhausted")
-            return int(self._free.pop()) * self.GRANULE
-        # Multi-granule segments take a contiguous block from the end of
-        # the arena ordering to stay simple; collisions are prevented by
-        # tracking a high-water mark.
-        return self._allocate_contiguous(needed)
+            return self._pop_scattered() * self.GRANULE
+        # Multi-granule segments take the lowest-numbered run of free
+        # granules, so they stay contiguous; single granules skip the
+        # entries such runs have taken.
+        return self._take_lowest_run(needed) * self.GRANULE
 
-    def _allocate_contiguous(self, granules: int) -> int:
-        base_granule = None
-        # Scan for `granules` consecutive free granule ids.
-        free_set = set(self._free)
-        for start in sorted(free_set):
-            if all(start + k in free_set for k in range(granules)):
-                base_granule = start
-                break
-        if base_granule is None:
+    def _pop_scattered(self) -> int:
+        """The last untaken granule of the shuffled order."""
+        order, taken = self._order, self._taken
+        while order and taken[order[-1]]:
+            order.pop()
+        if not order:
+            raise ConfigurationError("address arena exhausted")
+        granule = order.pop()
+        taken[granule] = True
+        return granule
+
+    def _take_lowest_run(self, granules: int) -> int:
+        """Reserve the lowest run of *granules* consecutive free granules."""
+        free = np.concatenate(([0], np.cumsum(~self._taken)))
+        starts = np.flatnonzero(free[granules:] - free[:-granules] == granules)
+        if not len(starts):
             raise ConfigurationError("address arena exhausted (contiguous)")
-        for k in range(granules):
-            self._free.remove(base_granule + k)
-        return base_granule * self.GRANULE
+        base = int(starts[0])
+        self._taken[base : base + granules] = True
+        return base
 
 
 @dataclass

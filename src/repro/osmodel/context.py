@@ -2,8 +2,9 @@
 
 The OS and workload models describe *what* executes (a routine of N
 instructions in some segment, with data references drawn from given
-emitters); the context turns that into interleaved, program-ordered
-reference chunks and accumulates them in a trace builder.
+emitters); the context draws where each data reference falls in the
+instruction stream and records the run in a trace builder, which
+interleaves all recorded runs into program order at once.
 """
 
 from __future__ import annotations
@@ -102,32 +103,25 @@ class GenerationContext:
             lengths = np.concatenate(
                 [lengths, self.rng.geometric(1.0 / basic_block_mean, size=estimated)]
             )
-        ends = np.cumsum(lengths)
-        n_blocks = min(int(np.searchsorted(ends, n_instr) + 1), len(lengths))
-        lengths = lengths[:n_blocks].astype(np.int64)
-        gaps = self.rng.geometric(1.0 / max(gap_mean, 1), size=n_blocks).astype(
-            np.int64
+        n_blocks = min(
+            int(lengths.cumsum().searchsorted(n_instr)) + 1, len(lengths)
         )
+        lengths = lengths[:n_blocks]
+        gaps = self.rng.geometric(1.0 / max(gap_mean, 1), size=n_blocks)
         # Heavy tail: some gaps are entire never-executed functions
         # (error paths, unused library entries), far longer than any
         # cache line — lines falling wholly inside them are never
         # fetched at any line size, which is what finally turns long
         # lines into pure overhead.
         cold_function = self.rng.random(n_blocks) < 0.12
-        gaps = np.where(
-            cold_function, gaps + self.rng.integers(32, 160, size=n_blocks), gaps
-        )
+        gaps += np.where(cold_function, self.rng.integers(32, 160, size=n_blocks), 0)
         gaps[0] = 0
-        # Block i starts after all previous blocks and the skipped gaps.
-        block_starts = start_word + np.cumsum(lengths + gaps) - lengths
-        block_starts %= size_words
-        ends = np.cumsum(lengths)
-        total = int(ends[-1])
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            ends - lengths, lengths
-        )
-        words = (np.repeat(block_starts, lengths) + offsets) % size_words
-        return (segment.base + words * WORD_BYTES)[:n_instr]
+        # The i-th fetch lies after i executed words and every gap
+        # skipped so far, so it sits at start + i + (gaps up to its
+        # block).
+        skipped = gaps.cumsum().repeat(lengths)[:n_instr]
+        words = (skipped + np.arange(n_instr) + start_word) % size_words
+        return segment.base + words * WORD_BYTES
 
     def loop_code(
         self,
@@ -158,66 +152,38 @@ class GenerationContext:
 
         Data runs are inserted at random instruction boundaries, with
         each spatial run kept contiguous, preserving program order
-        within every part.
+        within every part.  Only the boundaries are drawn here; the
+        builder assembles recorded runs into columns in one pass.
         """
         n_code = len(code_addresses)
-        parts = [p for p in (data_parts or []) if len(p.addresses)]
-        if not parts:
-            self.builder.append(
-                code_addresses,
-                int(AccessKind.IFETCH),
-                space.asid,
-                code_segment.mapped,
-                code_segment.kernel,
-            )
-            return
-
-        data_addr = []
-        data_kind = []
-        data_mapped = []
-        data_kernel = []
-        data_asid = []
-        positions = []
-        for part in parts:
+        parts = []
+        for part in data_parts or ():
             n = len(part.addresses)
+            if not n:
+                continue
             run = max(1, part.run_words)
             n_runs = (n + run - 1) // run
-            run_positions = np.sort(
-                self.rng.integers(0, n_code + 1, size=n_runs)
+            positions = self.rng.integers(0, n_code + 1, size=n_runs)
+            positions.sort()
+            positions = positions.repeat(run)[:n]
+            parts.append(
+                (
+                    part.addresses,
+                    positions,
+                    int(part.kind),
+                    part.asid,
+                    part.mapped,
+                    part.kernel,
+                )
             )
-            pos = np.repeat(run_positions, run)[:n]
-            positions.append(pos)
-            data_addr.append(np.asarray(part.addresses, dtype=np.int64))
-            data_kind.append(np.full(n, int(part.kind), dtype=np.uint8))
-            data_mapped.append(np.full(n, part.mapped, dtype=bool))
-            data_kernel.append(np.full(n, part.kernel, dtype=bool))
-            data_asid.append(np.full(n, part.asid, dtype=np.uint8))
-
-        positions = np.concatenate(positions)
-        order = np.argsort(positions, kind="stable")
-        positions = positions[order]
-        data_addr = np.concatenate(data_addr)[order]
-        data_kind = np.concatenate(data_kind)[order]
-        data_mapped = np.concatenate(data_mapped)[order]
-        data_kernel = np.concatenate(data_kernel)[order]
-        data_asid = np.concatenate(data_asid)[order]
-
-        addresses = np.insert(code_addresses, positions, data_addr)
-        kinds = np.insert(
-            np.full(n_code, int(AccessKind.IFETCH), dtype=np.uint8),
-            positions,
-            data_kind,
+        self.builder.append(
+            code_addresses,
+            int(AccessKind.IFETCH),
+            space.asid,
+            code_segment.mapped,
+            code_segment.kernel,
+            parts,
         )
-        asids = np.insert(
-            np.full(n_code, space.asid, dtype=np.uint8), positions, data_asid
-        )
-        mapped = np.insert(
-            np.full(n_code, code_segment.mapped, dtype=bool), positions, data_mapped
-        )
-        kernel = np.insert(
-            np.full(n_code, code_segment.kernel, dtype=bool), positions, data_kernel
-        )
-        self.builder.append_raw(addresses, kinds, asids, mapped, kernel)
 
     def split_loads_stores(
         self, n_instr: int, load_frac: float, store_frac: float

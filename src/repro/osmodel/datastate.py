@@ -50,7 +50,7 @@ class WorkingSet:
         self.locality = locality
         self.hot_records = hot_records
         self._rng = rng
-        self._recent: list[int] = []
+        self._recent = np.empty(0, dtype=np.int64)
         # The active pool is a random subset of the segment's pages,
         # re-drawn occasionally to model phase changes.
         self._pool = self._draw_pool()
@@ -65,6 +65,7 @@ class WorkingSet:
         replace_at = self._rng.choice(self.pages, size=n_new, replace=False)
         fresh = self._rng.choice(self.segment.pages, size=n_new, replace=False)
         self._pool[replace_at] = self.segment.base + fresh.astype(np.int64) * 4096
+
     def addresses(self, count: int) -> np.ndarray:
         """Emit *count* word addresses in record-sized runs.
 
@@ -77,22 +78,20 @@ class WorkingSet:
             return np.empty(0, dtype=np.int64)
         run = self.record_words
         n_runs = (count + run - 1) // run
-        pages = self._rng.choice(self._pool, size=n_runs)
+        pages = self._pool[self._rng.integers(0, len(self._pool), size=n_runs)]
         # Record start offsets, aligned to the record size, within a page.
         slots = 4096 // (run * WORD_BYTES)
         starts = pages + self._rng.integers(0, max(slots, 1), size=n_runs) * (
             run * WORD_BYTES
         )
         recent = self._recent
-        if recent:
+        if len(recent):
             reuse = self._rng.random(n_runs) < self.locality
             picks = self._rng.integers(0, len(recent), size=n_runs)
-            recent_arr = np.array(recent, dtype=np.int64)
-            starts = np.where(reuse, recent_arr[picks], starts)
+            starts = np.where(reuse, recent[picks], starts)
         # Remember a sample of this batch's fresh records as the next
         # hot set.
-        tail = starts[-self.hot_records:]
-        self._recent = tail.tolist()
+        self._recent = starts[-self.hot_records:].copy()
         offsets = np.arange(run, dtype=np.int64) * WORD_BYTES
         addresses = (starts[:, None] + offsets[None, :]).ravel()
         return addresses[:count]

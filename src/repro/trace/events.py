@@ -16,7 +16,7 @@ column of Tables 3/4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +94,31 @@ def frames_for_pages(
     return frames
 
 
+def first_occurrences(pages: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(pages, return_index=True, return_inverse=True)``.
+
+    A trace touches few distinct pages within a narrow span, so when
+    the span is at most a few times the reference count the first
+    occurrences come from a table over the span: each page's smallest
+    reference index (``np.minimum.at``, which is exact under duplicate
+    indices), then ranks by a cumulative sum.  Sparse page sets (e.g.
+    imported din traces with stack pages near the top of the address
+    space) fall back to sorting.
+    """
+    pages = np.asarray(pages, dtype=np.int64)
+    n = len(pages)
+    low = int(pages.min()) if n else 0
+    span = int(pages.max()) - low + 1 if n else 0
+    if span > 8 * n:
+        return np.unique(pages, return_index=True, return_inverse=True)
+    offsets = pages - low
+    first = np.full(span, n, dtype=np.int64)
+    np.minimum.at(first, offsets, np.arange(n, dtype=np.int64))
+    present = first < n
+    rank = np.cumsum(present) - 1
+    return np.flatnonzero(present) + low, first[present], rank[offsets]
+
+
 def assign_physical_frames(
     addresses: np.ndarray, seed: int = 0, mapped: np.ndarray | None = None
 ) -> np.ndarray:
@@ -113,10 +138,7 @@ def assign_physical_frames(
     Page-offset bits are preserved.
     """
     addresses = np.asarray(addresses, dtype=np.int64)
-    pages = addresses >> PAGE_SHIFT
-    unique_pages, first_index, inverse = np.unique(
-        pages, return_index=True, return_inverse=True
-    )
+    unique_pages, first_index, inverse = first_occurrences(addresses >> PAGE_SHIFT)
     if mapped is None:
         page_mapped = np.ones(len(unique_pages), dtype=bool)
     else:
@@ -133,7 +155,7 @@ class PageFrameTable:
     observes virtual pages chunk by chunk, then finalizes a frame
     assignment that is bit-identical to the batch path: the per-page
     mapped flag recorded is the flag of the page's *first occurrence*
-    in stream order (matching ``np.unique(..., return_index=True)``),
+    in stream order (see :func:`first_occurrences`),
     and :func:`frames_for_pages` depends only on the sorted unique
     page set, those flags, and the seed.
     """
@@ -147,7 +169,7 @@ class PageFrameTable:
         if self._frames is not None:
             raise TraceError("PageFrameTable already finalized")
         pages = np.asarray(addresses, dtype=np.int64) >> PAGE_SHIFT
-        unique, first_index = np.unique(pages, return_index=True)
+        unique, first_index, _ = first_occurrences(pages)
         flags = np.asarray(mapped, dtype=bool)[first_index]
         table = self._page_mapped
         for page, flag in zip(unique.tolist(), flags.tolist()):
@@ -347,68 +369,120 @@ class ReferenceTrace:
             )
 
 
-@dataclass
-class TraceChunkBuilder:
-    """Accumulates reference chunks efficiently during generation.
+_CHUNK_FIELDS = ("addresses", "kinds", "asids", "mapped", "kernel")
+_ATTRIBUTE_DTYPES = (np.uint8, np.uint8, bool, bool)
 
-    The generator produces runs of sequential fetches and batched data
-    references as small numpy arrays; this builder concatenates them
-    once at the end instead of growing arrays incrementally.
+
+class _Runs:
+    """Recorded streams of one kind: address arrays plus a row of
+    (kind, asid, mapped, kernel) per stream."""
+
+    def __init__(self) -> None:
+        self.addresses: list[np.ndarray] = []
+        self.lengths: list[int] = []
+        self.attributes: list[tuple[int, int, bool, bool]] = []
+
+    def add(self, addresses: np.ndarray, kind, asid, mapped, kernel) -> None:
+        self.addresses.append(addresses)
+        self.lengths.append(len(addresses))
+        self.attributes.append((kind, asid, mapped, kernel))
+
+    def joined(self) -> np.ndarray:
+        if not self.addresses:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(self.addresses)
+
+    def attribute_table(self) -> list[np.ndarray]:
+        """One array per attribute, one entry per stream."""
+        columns = zip(*self.attributes) if self.attributes else ((),) * 4
+        return [
+            np.array(column, dtype=dtype)
+            for column, dtype in zip(columns, _ATTRIBUTE_DTYPES)
+        ]
+
+
+class TraceChunkBuilder:
+    """Records generated runs and assembles them into columns once.
+
+    A run is a stretch of program-ordered references with uniform
+    attributes (an emitted code path), plus data parts that the
+    generator interleaves into it.  Each data reference is recorded
+    with a key: the number of run references, counted over the whole
+    builder, that precede it.  So one stable sort of the keys puts all
+    data references in program order (ties keep recording order, which
+    is program order), data reference ``j`` of that order lands at
+    output index ``key[j] + j``, and run references fill the remaining
+    slots in order.  Attribute columns are expanded from per-run and
+    per-part tables, never per reference during generation.
     """
 
-    addresses: list[np.ndarray] = field(default_factory=list)
-    kinds: list[np.ndarray] = field(default_factory=list)
-    asids: list[np.ndarray] = field(default_factory=list)
-    mapped: list[np.ndarray] = field(default_factory=list)
-    kernel: list[np.ndarray] = field(default_factory=list)
-    count: int = 0
+    def __init__(self) -> None:
+        self.count = 0
+        self._reset_runs()
+
+    def _reset_runs(self) -> None:
+        self._code = _Runs()
+        self._data = _Runs()
+        self._keys: list[np.ndarray] = []
+        self._code_count = 0
 
     def append(
         self,
         addresses: np.ndarray,
-        kind: int | np.ndarray,
+        kind: int,
         asid: int,
         mapped: bool,
         kernel: bool,
+        parts=(),
     ) -> None:
-        """Add a chunk with uniform asid/mapped/kernel attributes."""
-        n = len(addresses)
-        if n == 0:
-            return
-        self.addresses.append(np.asarray(addresses, dtype=np.int64))
-        if np.isscalar(kind):
-            self.kinds.append(np.full(n, kind, dtype=np.uint8))
-        else:
-            self.kinds.append(np.asarray(kind, dtype=np.uint8))
-        self.asids.append(np.full(n, asid, dtype=np.uint8))
-        self.mapped.append(np.full(n, mapped, dtype=bool))
-        self.kernel.append(np.full(n, kernel, dtype=bool))
-        self.count += n
+        """Record one run of *addresses* with uniform attributes.
 
-    def append_raw(
-        self,
-        addresses: np.ndarray,
-        kinds: np.ndarray,
-        asids: np.ndarray,
-        mapped: np.ndarray,
-        kernel: np.ndarray,
-    ) -> None:
-        """Add a chunk with fully per-reference attributes.
-
-        Used by the generation context when a single program-order run
-        interleaves references with different translation attributes
-        (e.g. a kernel copy loop touching both unmapped kernel buffers
-        and mapped user pages).
+        ``parts`` holds the run's data as ``(addresses, positions,
+        kind, asid, mapped, kernel)`` tuples.  ``positions`` is sorted
+        and gives, for each data reference, the number of the run's
+        own references that precede it (``0..len(addresses)``); within
+        one position, earlier parts come first.
         """
-        n = len(addresses)
-        if n == 0:
-            return
-        self.addresses.append(np.asarray(addresses, dtype=np.int64))
-        self.kinds.append(np.asarray(kinds, dtype=np.uint8))
-        self.asids.append(np.asarray(asids, dtype=np.uint8))
-        self.mapped.append(np.asarray(mapped, dtype=bool))
-        self.kernel.append(np.asarray(kernel, dtype=bool))
-        self.count += n
+        addresses = np.asarray(addresses, dtype=np.int64)
+        offset = self._code_count
+        for data, positions, *attributes in parts:
+            if len(data):
+                self._data.add(np.asarray(data, dtype=np.int64), *attributes)
+                self._keys.append(positions + offset)
+                self.count += len(data)
+        if len(addresses):
+            self._code.add(addresses, kind, asid, mapped, kernel)
+            self._code_count += len(addresses)
+            self.count += len(addresses)
+
+    def _assemble(self) -> dict[str, np.ndarray]:
+        """Interleave the recorded runs into columns and forget them."""
+        code, data = self._code, self._data
+        keys = np.concatenate(self._keys) if self._keys else np.empty(0, np.int64)
+        order = np.argsort(keys, kind="stable")
+        data_slots = keys[order] + np.arange(len(order))
+        part_of = np.repeat(np.arange(len(data.lengths)), data.lengths)[order]
+        code_addresses = code.joined()
+        total = len(code_addresses) + len(order)
+        is_code = np.ones(total, dtype=bool)
+        is_code[data_slots] = False
+        code_slots = np.flatnonzero(is_code)
+        code_columns = [code_addresses] + [
+            np.repeat(table, code.lengths) for table in code.attribute_table()
+        ]
+        data_columns = [data.joined()[order]] + [
+            table[part_of] for table in data.attribute_table()
+        ]
+        self._reset_runs()
+        columns = {}
+        for name, code_column, data_column in zip(
+            _CHUNK_FIELDS, code_columns, data_columns
+        ):
+            column = np.empty(total, dtype=code_column.dtype)
+            column[code_slots] = code_column
+            column[data_slots] = data_column
+            columns[name] = column
+        return columns
 
     def build(
         self,
@@ -418,58 +492,38 @@ class TraceChunkBuilder:
         os_name: str = "",
         physical_seed: int = 0,
     ) -> ReferenceTrace:
-        """Concatenate all chunks into a :class:`ReferenceTrace`.
+        """Assemble all recorded runs into a :class:`ReferenceTrace`.
 
         Virtual pages are assigned scattered physical frames by a
         seeded draw (``physical_seed``), so physically indexed cache
         behaviour does not depend on the virtual layout's contiguity.
         """
-        if not self.addresses:
-            empty = np.empty(0, dtype=np.int64)
-            return ReferenceTrace(
-                addresses=empty,
-                physical=empty.copy(),
-                kinds=np.empty(0, dtype=np.uint8),
-                asids=np.empty(0, dtype=np.uint8),
-                mapped=np.empty(0, dtype=bool),
-                kernel=np.empty(0, dtype=bool),
-                page_faults=page_faults,
-                other_cpi=other_cpi,
-                workload=workload,
-                os_name=os_name,
-            )
-        addresses = np.concatenate(self.addresses)
-        mapped = np.concatenate(self.mapped)
+        columns = self._assemble()
         return ReferenceTrace(
-            addresses=addresses,
             physical=assign_physical_frames(
-                addresses, seed=physical_seed, mapped=mapped
+                columns["addresses"], seed=physical_seed, mapped=columns["mapped"]
             ),
-            kinds=np.concatenate(self.kinds),
-            asids=np.concatenate(self.asids),
-            mapped=mapped,
-            kernel=np.concatenate(self.kernel),
             page_faults=page_faults,
             other_cpi=other_cpi,
             workload=workload,
             os_name=os_name,
+            **columns,
         )
-
-
-_CHUNK_FIELDS = ("addresses", "kinds", "asids", "mapped", "kernel")
 
 
 class ChunkedTraceBuilder(TraceChunkBuilder):
     """A builder that drains fixed-size chunks to a sink as it fills.
 
-    Generation models use the normal ``append``/``append_raw`` API;
-    whenever at least ``chunk_references`` references are pending they
-    are concatenated and handed to ``sink(addresses, kinds, asids,
-    mapped, kernel)`` as full fixed-size chunks (the trailing partial
-    chunk is emitted by :meth:`flush`).  Drained chunks are dropped, so
-    generation RSS stays bounded by one chunk regardless of the target
-    trace length.  ``count`` stays cumulative (the generation context
-    uses it to decide when the target is reached).
+    Generation models use the normal ``append`` API; whenever at least
+    ``chunk_references`` references are pending, the recorded runs are
+    assembled and handed to ``sink(addresses, kinds, asids, mapped,
+    kernel)`` as full fixed-size chunks (the trailing partial chunk is
+    emitted by :meth:`flush`).  The part past the last full chunk is
+    carried as assembled columns, ahead of the next runs.  Drained
+    chunks are dropped, so generation RSS stays bounded by about one
+    chunk regardless of the target trace length.  ``count`` stays
+    cumulative (the generation context uses it to decide when the
+    target is reached).
     """
 
     def __init__(self, sink, chunk_references: int) -> None:
@@ -478,19 +532,13 @@ class ChunkedTraceBuilder(TraceChunkBuilder):
             raise TraceError("chunk_references must be positive")
         self._sink = sink
         self._chunk_references = chunk_references
-        self._pending = 0
+        self._carry = self._assemble()  # empty columns
+        self._drained = 0
 
-    def append(self, addresses, kind, asid, mapped, kernel) -> None:
-        before = self.count
-        super().append(addresses, kind, asid, mapped, kernel)
-        self._pending += self.count - before
-        self._drain()
-
-    def append_raw(self, addresses, kinds, asids, mapped, kernel) -> None:
-        before = self.count
-        super().append_raw(addresses, kinds, asids, mapped, kernel)
-        self._pending += self.count - before
-        self._drain()
+    def append(self, addresses, kind, asid, mapped, kernel, parts=()) -> None:
+        super().append(addresses, kind, asid, mapped, kernel, parts)
+        if self.count - self._drained >= self._chunk_references:
+            self._drain()
 
     def flush(self) -> None:
         """Emit whatever is pending as one final (possibly short) chunk."""
@@ -503,21 +551,18 @@ class ChunkedTraceBuilder(TraceChunkBuilder):
 
     def _drain(self, final: bool = False) -> None:
         limit = self._chunk_references
-        total = self._pending
+        total = self.count - self._drained
         stop_at = total if final else (total // limit) * limit
         if stop_at == 0:
             return
-        joined = {}
-        for name in _CHUNK_FIELDS:
-            parts = getattr(self, name)
-            joined[name] = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        start = 0
-        while start < stop_at:
+        fresh = self._assemble()
+        joined = {
+            name: np.concatenate([self._carry[name], fresh[name]])
+            for name in _CHUNK_FIELDS
+        }
+        for start in range(0, stop_at, limit):
             end = min(start + limit, stop_at)
             self._sink(*(joined[name][start:end] for name in _CHUNK_FIELDS))
-            start = end
-        for name in _CHUNK_FIELDS:
-            rest = joined[name][stop_at:]
-            # Copy so the remainder does not pin the drained chunk alive.
-            setattr(self, name, [rest.copy()] if len(rest) else [])
-        self._pending = total - stop_at
+        # Copy so the carried remainder does not pin the drained chunks.
+        self._carry = {name: joined[name][stop_at:].copy() for name in _CHUNK_FIELDS}
+        self._drained += stop_at

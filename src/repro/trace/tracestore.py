@@ -852,11 +852,14 @@ class TraceStream:
     def chunks(self, fields, chunk_references: int | None = None):
         """Iterate reference-aligned windows of the given fields.
 
-        Yields ``(start, stop, {field: array})`` in order; the chunk
-        size defaults to the writer's but any positive value works —
-        windows are plain file offsets.
+        Yields ``(start, stop, {field: array})`` in order.  The chunk
+        size defaults to the current :func:`stream_chunk_references`,
+        not the one the entry was written with, so lowering
+        ``REPRO_STREAM_CHUNK`` lowers the memory a measurement of an
+        already-published entry uses; windows are plain file offsets,
+        so any positive size reads the same bytes.
         """
-        step = chunk_references or self.chunk_references
+        step = chunk_references or stream_chunk_references()
         if step < 1:
             raise TraceError("chunk_references must be positive")
         for start in range(0, self.references, step):

@@ -92,6 +92,30 @@ class TestStreamingUnits:
         for spec, want, got in zip(_unit_specs(), one_chunk_outputs, streamed):
             assert got == want, spec[0]
 
+    def test_lowered_chunk_applies_to_published_entry(
+        self, isolated, monkeypatch, one_chunk_outputs
+    ):
+        """An entry written in one large chunk is read in the current,
+        smaller chunk, with unchanged results."""
+        monkeypatch.setenv("REPRO_STREAM_CHUNK", str(1 << 30))
+        assert tracestore.generate_stream(*PAIR, REFS, seed=SEED) is not None
+        monkeypatch.setenv("REPRO_STREAM_CHUNK", "4096")
+        entry = tracestore.stream(*PAIR, REFS, seed=SEED)
+        assert entry.chunk_references == 1 << 30
+        windows = []
+        chunks = tracestore.TraceStream.chunks
+
+        def spy(stream, fields, chunk_references=None):
+            for start, stop, arrays in chunks(stream, fields, chunk_references):
+                windows.append(stop - start)
+                yield start, stop, arrays
+
+        monkeypatch.setattr(tracestore.TraceStream, "chunks", spy)
+        streamed = [measure._measure_unit(s) for s in _unit_specs()]
+        assert windows and max(windows) == 4096
+        for spec, want, got in zip(_unit_specs(), one_chunk_outputs, streamed):
+            assert got == want, spec[0]
+
     def test_measure_workload_bit_identical(self, isolated, tmp_path, monkeypatch):
         kwargs = dict(
             capacities=CAPS,

@@ -115,18 +115,22 @@ class TestReferenceTrace:
 
 
 class TestBuilder:
-    def test_append_raw_mixed_attributes(self):
+    def test_run_parts_carry_their_own_attributes(self):
         builder = TraceChunkBuilder()
-        builder.append_raw(
-            addresses=np.array([0, 4096]),
-            kinds=np.array([0, 1], dtype=np.uint8),
-            asids=np.array([1, 0], dtype=np.uint8),
-            mapped=np.array([True, False]),
-            kernel=np.array([False, True]),
+        builder.append(
+            np.array([0, 4]),
+            int(AccessKind.IFETCH),
+            1,
+            True,
+            False,
+            [(np.array([4096]), np.array([1]), int(AccessKind.LOAD), 0, False, True)],
         )
         trace = builder.build()
-        assert trace.mapped.tolist() == [True, False]
-        assert trace.kernel.tolist() == [False, True]
+        assert trace.addresses.tolist() == [0, 4096, 4]
+        assert trace.kinds.tolist() == [0, 1, 0]
+        assert trace.asids.tolist() == [1, 0, 1]
+        assert trace.mapped.tolist() == [True, False, True]
+        assert trace.kernel.tolist() == [False, True, False]
 
     def test_empty_chunks_ignored(self):
         builder = TraceChunkBuilder()
