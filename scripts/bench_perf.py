@@ -21,9 +21,10 @@ Times the four layers the fast path accelerates:
    ~10^7 design points — the frontier's one-off build, then per-query
    times at 8 area budgets and 4 joint area x power budgets, with a
    bit-identity check per budget.
-7. Write-buffer kernel: the vectorized carried-state timing pass vs
-   the scalar event loop on a multi-million-store arrival stream, with
-   a bit-identity check.
+7. Write-buffer timing pass: the production path (the C loop, or its
+   scalar fallback) vs the scalar spec on synthetic multi-million-store
+   arrival streams and on the store streams of real timing passes,
+   with a bit-identity check per stream.
 
 Usage::
 
@@ -48,7 +49,8 @@ differently, or warm-load less than 10x faster than regenerating, or
 (d) the alloc_scaling section ran and a frontier answer differed from
 the exhaustive one (flat index or CPI), the median query speedup over
 the exhaustive scan came in under 100x, or the frontier build took
-longer than the median single exhaustive scan.
+longer than the median single exhaustive scan, or (e) the write_buffer
+section ran and any stream's stall cycles differed from the spec's.
 
 ``REPRO_SCALE`` is ignored: the numbers are defined at full trace
 length so they are comparable across runs and machines.
@@ -629,58 +631,113 @@ def bench_alloc_scaling() -> dict:
 
 
 WRITE_BUFFER_STORES = 2_000_000
+WRITE_BUFFER_PAIRS = (("video_play", "ultrix"), ("IOzone", "mach"))
 
 
-def bench_write_buffer() -> dict:
-    """Vectorized vs scalar write-buffer timing, bit-identity checked.
+def _timing_store_stream(workload: str, os_name: str) -> tuple:
+    """The store arrivals (and warm-up count) that one timing pass over
+    a ``BENCH_REFERENCES`` trace of the pair feeds its write buffer."""
+    from repro.memsim import timing
 
-    The arrival stream mimics what the timing pipeline feeds the
-    buffer: non-decreasing store times with bursty gaps (runs of
-    back-to-back stores that fill the buffer, separated by quiet
-    stretches that drain it), which exercises both the long clean
-    vector segments and the stall-cluster scalar runs.
-    """
+    fed = []
+
+    class Recording(timing.StreamingWriteBuffer):
+        def feed(self, store_times, count_from=0):
+            fed.append((np.array(store_times, dtype=np.int64), count_from))
+            super().feed(store_times, count_from)
+
+    trace = generate_trace(workload, os_name, BENCH_REFERENCES, seed=1)
+    original = timing.StreamingWriteBuffer
+    timing.StreamingWriteBuffer = Recording
+    try:
+        timing.simulate_system(
+            trace, timing.DECSTATION_3100, warmup_fraction=measure.DEFAULT_WARMUP
+        )
+    finally:
+        timing.StreamingWriteBuffer = original
+    ((times, count_from),) = fed
+    return times, count_from
+
+
+def _write_buffer_row(times, depth, retire, count_from) -> dict:
     from repro.memsim.write_buffer import (
         simulate_write_buffer,
         simulate_write_buffer_reference,
     )
 
+    args = (times, depth, retire, count_from)
+    t0 = time.perf_counter()
+    reference = simulate_write_buffer_reference(*args)
+    reference_s = time.perf_counter() - t0
+    streaming_s, result = best_of(lambda: simulate_write_buffer(*args))
+    return {
+        "stores": int(times.size),
+        "reference_seconds": round(reference_s, 3),
+        "streaming_seconds": round(streaming_s, 4),
+        "speedup": round(reference_s / streaming_s, 1),
+        "bit_identical": result == reference,
+        "stall_cycles": int(result.stall_cycles),
+    }
+
+
+def bench_write_buffer() -> dict:
+    """The production write-buffer path vs the scalar spec, bit-identity
+    checked.
+
+    ``streams`` are synthetic: non-decreasing store times with bursty
+    gaps, stall-heavy ("bursty", a quarter of the stores back-to-back)
+    and mostly drained ("sparse").  ``trace_streams`` are the store
+    arrivals the timing pipeline actually produces: one
+    ``simulate_system`` pass per pair at ``BENCH_REFERENCES``, under
+    the DECstation 3100 buffer and the measurement warm-up.
+    """
+    from repro.memsim import _native
+    from repro.memsim.timing import DECSTATION_3100 as config
+
     rng = np.random.default_rng(1)
-    streams = {
-        # Stall-heavy: a quarter of the stores arrive back-to-back, so
-        # the buffer fills constantly and the kernel spends much of its
-        # time in the post-stall scalar runs — its worst case.
+    synthetic = {
         "bursty": np.where(
             rng.random(WRITE_BUFFER_STORES) < 0.25,
             rng.integers(0, 3, WRITE_BUFFER_STORES),
             rng.integers(6, 40, WRITE_BUFFER_STORES),
         ),
-        # Typical pipeline output: stores mostly spaced past the retire
-        # time, occasional short bursts — long clean vector segments.
         "sparse": np.where(
             rng.random(WRITE_BUFFER_STORES) < 0.05,
             rng.integers(0, 3, WRITE_BUFFER_STORES),
             rng.integers(8, 60, WRITE_BUFFER_STORES),
         ),
     }
-    rows = {}
-    for name, gaps in streams.items():
-        times = np.cumsum(gaps, dtype=np.int64)
-        t0 = time.perf_counter()
-        reference = simulate_write_buffer_reference(times)
-        reference_s = time.perf_counter() - t0
-        vector_s, result = best_of(lambda: simulate_write_buffer(times))
-        rows[name] = {
-            "reference_seconds": round(reference_s, 3),
-            "vector_seconds": round(vector_s, 4),
-            "speedup": round(reference_s / vector_s, 1),
-            "bit_identical": (
-                result.stores == reference.stores
-                and result.stall_cycles == reference.stall_cycles
-            ),
-            "stall_cycles": int(result.stall_cycles),
+    streams = {
+        name: _write_buffer_row(np.cumsum(gaps, dtype=np.int64), 4, 6, 0)
+        for name, gaps in synthetic.items()
+    }
+    trace_streams = {}
+    for workload, os_name in WRITE_BUFFER_PAIRS:
+        times, count_from = _timing_store_stream(workload, os_name)
+        row = _write_buffer_row(
+            times, config.wb_depth, config.wb_retire_cycles, count_from
+        )
+        trace_streams[f"{workload}/{os_name}"] = {
+            "references": BENCH_REFERENCES,
+            "count_from": count_from,
+            **row,
         }
-    return {"stores": WRITE_BUFFER_STORES, "streams": rows}
+    return {
+        "native_kernel": _native.available(),
+        "streams": streams,
+        "trace_streams": trace_streams,
+    }
+
+
+def check_write_buffer(wb: dict) -> int:
+    """CI tripwire: every stream bit-identical to the scalar spec."""
+    rows = {**wb["streams"], **wb["trace_streams"]}
+    bad = [name for name, row in rows.items() if not row["bit_identical"]]
+    if bad:
+        print(f"write-buffer check FAILED: differs from the spec on {bad}")
+        return 1
+    print(f"write-buffer check OK: identical on all {len(rows)} streams")
+    return 0
 
 
 def check_alloc_scaling(alloc: dict) -> int:
@@ -757,7 +814,9 @@ def main(argv: list[str] | None = None) -> int:
         help="exit non-zero if warm jobs=4 measurement is slower than "
         "serial on a >= 4-core host, if any streaming-scaling row "
         "peaks at >= 1 GiB RSS, or if the trace_compression section "
-        "breaks its ratio / bit-identity / warm-speedup contracts "
+        "breaks its ratio / bit-identity / warm-speedup contracts, if "
+        "the alloc_scaling section breaks its gates, or if any "
+        "write_buffer stream differs from the spec "
         "(gates only the sections that ran)",
     )
     parser.add_argument(
@@ -892,14 +951,16 @@ def main(argv: list[str] | None = None) -> int:
             )
         payload["alloc_scaling"] = alloc
 
+    wb = None
     if "write_buffer" in sections:
-        print("benchmarking write-buffer timing kernel ...")
+        print("benchmarking write-buffer timing pass ...")
         wb = bench_write_buffer()
-        for name, row in wb["streams"].items():
+        path = "native" if wb["native_kernel"] else "fallback"
+        for name, row in {**wb["streams"], **wb["trace_streams"]}.items():
             print(
-                f"  {wb['stores']:,} {name} stores: "
-                f"scalar {row['reference_seconds']}s   "
-                f"vector {row['vector_seconds']}s   "
+                f"  {name:>17}: {row['stores']:,} stores   "
+                f"spec {row['reference_seconds']}s   "
+                f"{path} {row['streaming_seconds']}s   "
                 f"({row['speedup']}x, identical={row['bit_identical']})"
             )
         payload["write_buffer"] = wb
@@ -918,6 +979,8 @@ def main(argv: list[str] | None = None) -> int:
             status |= check_trace_compression(compression)
         if alloc is not None:
             status |= check_alloc_scaling(alloc)
+        if wb is not None:
+            status |= check_write_buffer(wb)
     return status
 
 

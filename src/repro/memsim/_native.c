@@ -1,21 +1,24 @@
-/* Capped LRU stack-depth kernel.
- *
- * One call simulates one (stream, set count) pass: for every reference
- * it reports the LRU stack depth of the referenced id within its set,
- * capped at max_assoc (the value max_assoc means "missed at every
- * associativity up to the cap").  Semantics match the Python reference
- * loop in repro.memsim.engine exactly: a depth-0 re-reference leaves
- * the stack untouched, deeper hits move the id to the front, misses
- * push the id and drop the least recently used entry.
+/* Native simulation kernels: capped LRU stack depths and the write
+ * buffer's stall loop.
  *
  * Compiled on demand by repro.memsim._native via the system C compiler
- * and loaded through ctypes; the build is optional and every caller
- * falls back to the NumPy engine when no compiler is available.
+ * into one shared library and loaded through ctypes.  The build is
+ * optional: without a compiler the stack-depth callers fall back to the
+ * NumPy engine and the write buffer to its scalar specification
+ * (repro.memsim.write_buffer.WriteBuffer), both bit-identical.
  */
 
 #include <stdint.h>
 
-/* ids: n nonnegative identifiers (time order).
+/* One (stream, set count) pass: for every reference, the LRU stack
+ * depth of the referenced id within its set, capped at max_assoc (the
+ * value max_assoc means "missed at every associativity up to the
+ * cap").  Semantics match the Python reference loop in
+ * repro.memsim.engine exactly: a depth-0 re-reference leaves the stack
+ * untouched, deeper hits move the id to the front, misses push the id
+ * and drop the least recently used entry.
+ *
+ * ids: n nonnegative identifiers (time order).
  * set_mask: n_sets - 1 (n_sets a power of two).
  * stacks: scratch of n_sets * max_assoc entries, initialised to -1.
  * out: n int16 depths in [0, max_assoc].
@@ -44,4 +47,59 @@ void repro_lru_depths(const int64_t *ids, int64_t n, int64_t set_mask,
         }
         out[i] = (int16_t)depth;
     }
+}
+
+/* Present n store arrival times to a depth-entry write buffer retiring
+ * one store every retire cycles; return the stall cycles of the stores
+ * at index >= count_from.  Semantics match WriteBuffer.store driven by
+ * simulate_write_buffer_reference exactly, for any arrival order: each
+ * arrival is shifted by the slip (all stalls so far), completed stores
+ * leave the buffer, a full buffer stalls until its oldest store
+ * completes, and memory starts each store once it is both presented
+ * and free.
+ *
+ * state: 4 + depth int64s carried between calls --
+ *   [0] head, [1] count: the buffered completion times are the count
+ *       ring entries from head on, oldest first;
+ *   [2] the cycle memory is free again; [3] the slip;
+ *   [4...] the ring of completion times.
+ */
+int64_t repro_write_buffer(const int64_t *times, int64_t n, int64_t depth,
+                           int64_t retire, int64_t count_from,
+                           int64_t *state)
+{
+    int64_t head = state[0], count = state[1];
+    int64_t free_at = state[2], slip = state[3];
+    int64_t *ring = state + 4;
+    int64_t counted = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t now = times[i] + slip;
+        while (count > 0 && ring[head] <= now) {
+            if (++head == depth)
+                head = 0;
+            count--;
+        }
+        if (count >= depth) {
+            int64_t stall = ring[head] - now;
+            now = ring[head];
+            if (++head == depth)
+                head = 0;
+            count--;
+            slip += stall;
+            if (i >= count_from)
+                counted += stall;
+        }
+        int64_t finish = (now > free_at ? now : free_at) + retire;
+        int64_t tail = head + count;
+        if (tail >= depth)
+            tail -= depth;
+        ring[tail] = finish;
+        count++;
+        free_at = finish;
+    }
+    state[0] = head;
+    state[1] = count;
+    state[2] = free_at;
+    state[3] = slip;
+    return counted;
 }

@@ -1,15 +1,17 @@
-"""On-demand build and loading of the C stack-depth kernel.
+"""On-demand build and loading of the C simulation kernels.
 
-The kernel in ``_native.c`` is a ~30-line C loop; on machines with a C
-compiler it is built once into a per-user cache directory and loaded
-through :mod:`ctypes`, giving the ``native`` engine mode.  Everything
-here is best-effort: any failure (no compiler, read-only filesystem,
-sandboxed exec) simply reports the kernel as unavailable and the NumPy
-engine takes over.  No third-party packages are involved.
+``_native.c`` holds two short C loops: the capped LRU stack-depth pass
+behind the ``native`` engine mode, and the write buffer's stall loop.
+On machines with a C compiler both are built once, into one shared
+library in a per-user cache directory, and loaded through
+:mod:`ctypes`.  Everything here is best-effort: any failure (no
+compiler, read-only filesystem, sandboxed exec) simply reports the
+kernels as unavailable, and the NumPy engine and the scalar
+write-buffer loop take over.  No third-party packages are involved.
 
 Environment knobs:
 
-* ``REPRO_NATIVE=0`` — never build or load the kernel.
+* ``REPRO_NATIVE=0`` — never build or load the kernels.
 * ``REPRO_NATIVE_DIR`` — where to cache the shared library (default: a
   per-user directory under the system temp dir).
 * ``CC`` — compiler to use (default: first of ``cc``, ``gcc``,
@@ -91,7 +93,7 @@ def _load() -> ctypes.CDLL | None:
         with open(_SOURCE_PATH, "rb") as fh:
             source_bytes = fh.read()
         digest = hashlib.sha256(source_bytes).hexdigest()[:16]
-        lib_path = os.path.join(_build_dir(), f"repro-lru-{digest}.so")
+        lib_path = os.path.join(_build_dir(), f"repro-native-{digest}.so")
         if not os.path.exists(lib_path):
             _compile(_SOURCE_PATH, lib_path)
         lib = ctypes.CDLL(lib_path)
@@ -105,6 +107,16 @@ def _load() -> ctypes.CDLL | None:
             ctypes.c_void_p,  # stacks scratch
             ctypes.c_void_p,  # out
         ]
+        fn = lib.repro_write_buffer
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [
+            ctypes.c_void_p,  # times
+            ctypes.c_int64,  # n
+            ctypes.c_int64,  # depth
+            ctypes.c_int64,  # retire
+            ctypes.c_int64,  # count_from
+            ctypes.c_void_p,  # state
+        ]
         _lib = lib
     except Exception as exc:  # pragma: no cover - environment dependent
         _load_error = str(exc)
@@ -113,23 +125,28 @@ def _load() -> ctypes.CDLL | None:
 
 
 def available() -> bool:
-    """True when the C kernel compiled (or was cached) and loaded."""
+    """True when the C kernels compiled (or were cached) and loaded."""
     return _load() is not None
 
 
 def load_error() -> str | None:
-    """Why the kernel is unavailable, for diagnostics; None if loaded."""
+    """Why the kernels are unavailable, for diagnostics; None if loaded."""
     _load()
     return _load_error
+
+
+def _require() -> ctypes.CDLL:
+    lib = _load()
+    if lib is None:
+        raise RuntimeError(f"native kernel unavailable: {_load_error}")
+    return lib
 
 
 def pass_depths(
     ids: np.ndarray, n_sets: int, max_assoc: int, out: np.ndarray
 ) -> None:
     """Run one (stream, set count) pass through the C kernel."""
-    lib = _load()
-    if lib is None:
-        raise RuntimeError(f"native kernel unavailable: {_load_error}")
+    lib = _require()
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     if out.dtype != np.int16 or not out.flags.c_contiguous:
         raise ValueError("out must be a contiguous int16 array")
@@ -141,4 +158,40 @@ def pass_depths(
         max_assoc,
         scratch.ctypes.data,
         out.ctypes.data,
+    )
+
+
+def write_buffer(
+    times: np.ndarray,
+    depth: int,
+    retire_cycles: int,
+    count_from: int,
+    state: np.ndarray,
+) -> int:
+    """Step store arrivals through the C write-buffer loop.
+
+    ``state`` is the ``4 + depth`` int64 array the loop carries between
+    calls (head, count, memory-free cycle, slip, then the ring of
+    completion times; see ``_native.c``), updated in place.  Returns
+    the stall cycles of the stores at index ``>= count_from``.
+    """
+    lib = _require()
+    times = np.ascontiguousarray(times, dtype=np.int64)
+    if depth < 1:
+        raise ValueError("write buffer needs at least one entry")
+    if (
+        state.dtype != np.int64
+        or not state.flags.c_contiguous
+        or state.size != 4 + depth
+    ):
+        raise ValueError("state must be a contiguous int64 array of 4 + depth")
+    return int(
+        lib.repro_write_buffer(
+            times.ctypes.data,
+            len(times),
+            depth,
+            retire_cycles,
+            count_from,
+            state.ctypes.data,
+        )
     )

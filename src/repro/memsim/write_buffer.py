@@ -7,43 +7,15 @@ buffer full.  The paper measures this component directly with Monster
 (the "Write Buffer" CPI column of Tables 3 and 4); here it is
 reproduced with an event-driven model over store arrival times.
 
-Two implementations share the semantics:
-
 * :class:`WriteBuffer` — the scalar event loop, one ``store(now)``
   call per store.  This is the executable specification; the
   differential tests run every stream through it.
-* :class:`StreamingWriteBuffer` — the production path, a vectorized
-  carried-state kernel that is **bit-identical** to the scalar loop
-  for the non-decreasing arrival streams the timing pipeline produces
-  (and falls back to the scalar loop, exactly, for anything else).
-
-The vectorization rests on three identities of the scalar loop, valid
-while presented arrival times ``b_k`` are non-decreasing (``b_k`` is
-the raw time plus all accumulated stall *slip*):
-
-1. ``finish_k = max(b_k, finish_{k-1}) + retire`` — whether or not
-   store ``k`` stalls, memory starts it when both the store and the
-   previous retire are ready.
-2. store ``k`` stalls iff the buffer still holds ``depth`` entries
-   after the completion sweep, which reduces to
-   ``finish_{k-depth} > b_k``; the stall is exactly
-   ``finish_{k-depth} - b_k``.
-3. the buffer state is fully captured by the last ``depth`` finish
-   times (zero-filled before the first store) plus the accumulated
-   slip — a stall at ``k`` always evicts ``finish_{k-depth}`` and
-   nothing older can still be resident.
-
-Identity 1 is a Lindley recurrence: substituting
-``c_k = finish_k - retire * (k+1)`` turns it into
-``c_k = max(b_k - retire * k, c_{k-1})``, i.e. a running maximum,
-which NumPy computes for a whole chunk at once.  Identity 2 then
-yields every stall in the chunk — but each stall invalidates the
-``b`` values *after* it (slip grows), so the kernel is optimistic:
-assume no stall, compute the chunk, commit everything up to and
-including the first violation (exact by identities 1-2, since slip
-was genuinely constant up to there), absorb that one stall into the
-slip, step a short scalar run to get past the stall cluster, and
-resume vectorized.
+* :class:`StreamingWriteBuffer` — the production path.  It feeds
+  chunks of arrival times to the same loop written in C
+  (``repro_write_buffer`` in ``_native.c``), which is bit-identical to
+  the specification for any arrival order, and steps
+  :meth:`WriteBuffer.store` itself when the C kernels are unavailable
+  (no compiler, or ``REPRO_NATIVE=0``).
 """
 
 from __future__ import annotations
@@ -52,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SCALAR_RUN = 32
-"""Stores stepped scalar-ly after a stall before re-vectorizing —
-stalls cluster (a full buffer usually stays nearly full for a few
-stores), so retrying the vector path immediately would mostly waste
-the setup."""
-
-_SEG_MIN = 128
-_SEG_MAX = 1 << 20
+from repro.memsim import _native
 
 
 @dataclass
@@ -118,14 +83,10 @@ class StreamingWriteBuffer:
     Carries the buffer occupancy and the accumulated *slip* (stall
     cycles that push every later arrival back) between chunks, so a
     chunked run is bit-identical to one :func:`simulate_write_buffer`
-    call over the concatenated arrival times.
-
-    Chunks whose presented arrivals stay non-decreasing run through
-    the vectorized kernel (see the module docstring); the first
-    out-of-order arrival drops the instance into the scalar event loop
-    permanently — identity 3's window state is only equivalent to the
-    buffer deque under monotone arrivals, so exactness requires
-    staying scalar from then on.
+    call over the concatenated arrival times.  The carried state is
+    the C loop's int64 array (see :func:`repro.memsim._native.write_buffer`):
+    head, count, the cycle memory is free again, the slip, then a ring
+    of ``depth`` completion times.
     """
 
     def __init__(self, depth: int = 4, retire_cycles: int = 6):
@@ -133,131 +94,43 @@ class StreamingWriteBuffer:
             raise ValueError("write buffer needs at least one entry")
         self.depth = depth
         self.retire_cycles = retire_cycles
-        # Last `depth` finish times, oldest first; zero = "long done".
-        self._fin = np.zeros(depth, dtype=np.int64)
-        self._slip = 0
-        self._last_b = 0
+        self._state = np.zeros(4 + depth, dtype=np.int64)
         self._counted_stalls = 0
         self._counted_stores = 0
-        self._scalar: WriteBuffer | None = None
-
-    # -- state conversion ------------------------------------------------
-
-    def _go_scalar(self) -> WriteBuffer:
-        """Materialize the scalar buffer from the window state (sticky)."""
-        if self._scalar is None:
-            wb = WriteBuffer(depth=self.depth, retire_cycles=self.retire_cycles)
-            # Under monotone history the deque holds exactly the
-            # windowed finishes still after the last presented arrival.
-            wb._completions = [int(f) for f in self._fin if f > self._last_b]
-            wb._memory_free_at = int(self._fin[-1])
-            self._scalar = wb
-        return self._scalar
-
-    # -- feeding ---------------------------------------------------------
 
     def feed(self, store_times: np.ndarray, count_from: int = 0) -> None:
         """Present one chunk of arrival times; ``count_from`` is
         chunk-relative (earlier stores warm the buffer uncounted)."""
-        t = np.asarray(store_times, dtype=np.int64).ravel()
-        n = int(t.size)
-        self._counted_stores += max(n - count_from, 0)
-        if n == 0:
+        t = np.ascontiguousarray(store_times, dtype=np.int64).ravel()
+        self._counted_stores += max(int(t.size) - count_from, 0)
+        if t.size == 0:
             return
-        if self._scalar is None:
-            monotone = bool((t[1:] >= t[:-1]).all()) and (
-                int(t[0]) + self._slip >= self._last_b
+        if _native.available():
+            self._counted_stalls += _native.write_buffer(
+                t, self.depth, self.retire_cycles, count_from, self._state
             )
-            if monotone:
-                self._feed_vector(t, count_from)
-                return
-        self._feed_scalar(t, count_from)
+        else:
+            self._counted_stalls += self._feed_scalar(t, count_from)
 
-    def _feed_scalar(self, t: np.ndarray, count_from: int) -> None:
-        wb = self._go_scalar()
-        slip = self._slip
+    def _feed_scalar(self, t: np.ndarray, count_from: int) -> int:
+        """Step the carried state through :meth:`WriteBuffer.store`."""
+        depth = self.depth
+        head, count, free_at, slip = self._state[:4].tolist()
+        ring = self._state[4:].tolist()
+        wb = WriteBuffer(depth=depth, retire_cycles=self.retire_cycles)
+        wb._completions = [ring[(head + j) % depth] for j in range(count)]
+        wb._memory_free_at = free_at
         stalls = 0
         for i, tt in enumerate(t.tolist()):
             stall = wb.store(tt + slip)
             slip += stall
             if i >= count_from:
                 stalls += stall
-        self._slip = slip
-        self._counted_stalls += stalls
-
-    def _feed_vector(self, t: np.ndarray, count_from: int) -> None:
-        depth = self.depth
-        retire = self.retire_cycles
-        fin = self._fin
-        n = int(t.size)
-        i = 0
-        seg_len = min(max(n, _SEG_MIN), _SEG_MAX)
-        while i < n:
-            m = min(n - i, seg_len)
-            b = t[i : i + m] + self._slip  # optimistic: slip constant
-            # Lindley recurrence for the finish times (identity 1).
-            k = np.arange(m, dtype=np.int64)
-            c = b - retire * k
-            c[0] = max(int(c[0]), int(fin[-1]))
-            np.maximum.accumulate(c, out=c)
-            f = c + retire * (k + 1)
-            # Stall test (identity 2): finish_{k-depth} vs b_k.
-            head = min(depth, m)
-            prev = np.concatenate([fin[:head], f[: max(m - depth, 0)]])
-            viol = np.flatnonzero(prev > b)
-            if viol.size == 0:
-                commit = m
-                stall = 0
-            else:
-                commit = int(viol[0]) + 1
-                stall = int(prev[viol[0]] - b[viol[0]])
-                # Everything strictly before the first violation is
-                # exact; the violating store's own b and finish are
-                # exact too, so commit through it and absorb its
-                # stall into the slip.  (Its finish per identity 1 is
-                # unaffected by the stall.)
-            if commit >= depth:
-                fin = f[commit - depth : commit].copy()
-            else:
-                fin = np.concatenate([fin[commit:], f[:commit]])
-            self._fin = fin
-            self._last_b = int(b[commit - 1])
-            if stall:
-                self._slip += stall
-                if i + commit - 1 >= count_from:
-                    self._counted_stalls += stall
-                # Adaptive segment sizing: an early violation means a
-                # mostly-wasted vector pass, so shrink; a clean pass
-                # earns a longer one.
-                if commit < seg_len // 4:
-                    seg_len = max(_SEG_MIN, seg_len // 2)
-                i += commit
-                i = self._scalar_run(t, i, count_from)
-                fin = self._fin
-            else:
-                seg_len = min(_SEG_MAX, seg_len * 2)
-                i += commit
-
-    def _scalar_run(self, t: np.ndarray, i: int, count_from: int) -> int:
-        """Step up to ``_SCALAR_RUN`` stores through the recurrences."""
-        depth = self.depth
-        retire = self.retire_cycles
-        fin = self._fin.tolist()
-        stop = min(i + _SCALAR_RUN, int(t.size))
-        while i < stop:
-            b = int(t[i]) + self._slip
-            stall = fin[0] - b
-            if stall > 0:
-                self._slip += stall
-                if i >= count_from:
-                    self._counted_stalls += stall
-            f = max(b + max(stall, 0), fin[-1]) + retire
-            fin.pop(0)
-            fin.append(f)
-            self._last_b = b
-            i += 1
-        self._fin = np.asarray(fin, dtype=np.int64)
-        return i
+        completions = wb._completions
+        self._state[:] = 0
+        self._state[:4] = (0, len(completions), wb._memory_free_at, slip)
+        self._state[4 : 4 + len(completions)] = completions
+        return stalls
 
     def result(self) -> WriteBufferResult:
         """Aggregate result over the counted stores fed so far."""
@@ -275,9 +148,10 @@ def simulate_write_buffer(
     """Run a sequence of store arrival times through a write buffer.
 
     Args:
-        store_times: non-decreasing cycle numbers at which stores issue
-            (ignoring write-buffer stalls themselves; each stall pushes
-            subsequent arrivals back, which the model accounts for).
+        store_times: cycle numbers at which stores issue, normally
+            non-decreasing (ignoring write-buffer stalls themselves;
+            each stall pushes subsequent arrivals back, which the model
+            accounts for).
         depth: buffer depth.
         retire_cycles: memory cycles per retired store.
         count_from: index of the first store whose stall is counted
@@ -300,8 +174,8 @@ def simulate_write_buffer_reference(
     """The scalar event-loop run of :func:`simulate_write_buffer`.
 
     Exists for the differential tests (and for callers that want the
-    executable specification regardless of input shape); the
-    vectorized path is asserted bit-identical to this one.
+    executable specification); the native and fallback paths of
+    :class:`StreamingWriteBuffer` are asserted bit-identical to it.
     """
     wb = WriteBuffer(depth=depth, retire_cycles=retire_cycles)
     slip = 0
