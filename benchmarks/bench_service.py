@@ -677,9 +677,25 @@ def run_bench(root: Path | None = None) -> dict:
         "overload_shedding": overload,
         "fleet": fleet,
         "identical_to_bruteforce": identical,
+        "recorded": time.strftime("%Y-%m-%d"),
     }
+    payload["history"] = _history()
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
+
+
+def _history() -> list[dict]:
+    """Every earlier run recorded in ``BENCH_service.json``, oldest first.
+
+    The figures are a trajectory across server designs and hosts, so a
+    re-run keeps the runs already recorded instead of replacing them.
+    """
+    try:
+        previous = json.loads(OUTPUT.read_text())
+    except (OSError, ValueError):
+        return []
+    history = previous.pop("history", [])
+    return history + [previous]
 
 
 def test_service_latency(show):

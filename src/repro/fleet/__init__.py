@@ -10,10 +10,11 @@ routing tier:
   serving nodes, with minimal remap when nodes join or leave;
 * :mod:`repro.fleet.router` — a stateless router speaking the exact
   HTTP surface of a single server (JSON, batch, and binary-batch
-  ``POST /v1/query``; ``/v1/health``; ``/v1/metrics``), proxying each
-  query to its shard owner and failing over to the next replica on
-  connect errors, 5xx, or 429 — so :class:`ServiceClient` works
-  unchanged against a fleet;
+  ``POST /v1/query``; ``/v1/health``; ``/v1/metrics``), forwarding each
+  query on its own event loop over pipelined keep-alive connections
+  to its shard owner and failing over to the next replica on connect
+  errors, torn connections, timeouts, 5xx, or 429 — so
+  :class:`ServiceClient` works unchanged against a fleet;
 * :mod:`repro.fleet.health` — periodic ``/v1/health`` probes with
   K-consecutive-failure mark-down and first-success mark-up, used to
   *order* replica attempts (correctness never depends on the health

@@ -15,8 +15,8 @@ not answers.  That separation is what lets the prober run at a relaxed
 interval without a freshness protocol.
 
 Thread-safe: probes run on the checker's own thread, `alive()` /
-`snapshot()` may be called from the router's executor threads, and the
-state dict is guarded by one lock.  `probe_all()` can also be driven
+`snapshot()` are called from the router's loop thread, and the state
+dict is guarded by one lock.  `probe_all()` can also be driven
 manually (tests do this to make mark-down/mark-up transitions
 deterministic instead of sleeping through prober intervals).
 """

@@ -106,14 +106,6 @@ def _frame(magic: bytes, payload: bytes) -> bytes:
     return magic + _U32.pack(len(payload)) + payload
 
 
-def frame(magic: bytes, payload: bytes) -> bytes:
-    """The inverse of :func:`split_frame`: wrap a payload in the
-    ``magic + u32 length`` header.  The fleet router uses this to
-    re-frame an already-split payload before proxying it upstream.
-    """
-    return _frame(magic, payload)
-
-
 def split_frame(body: bytes, magic: bytes) -> bytes:
     """Strip and verify the ``magic + u32 length`` prefix.
 

@@ -533,6 +533,12 @@ class QueryEngine:
                 self._result_bytes.move_to_end(cache_key)
                 self._stats["byte_hits"] += 1
                 return entry
+        return self._publish_bytes(normalized, cache_key)
+
+    def _publish_bytes(
+        self, normalized: dict, cache_key: str
+    ) -> tuple[bytes, str]:
+        """Answer a byte-cache miss, encode it once, and cache the bytes."""
         result = self.query(normalized)
         body = json.dumps({"ok": True, "result": result}).encode()
         etag = '"' + hashlib.sha256(body).hexdigest()[:20] + '"'
@@ -562,16 +568,24 @@ class QueryEngine:
             self._stats["byte_hits"] += 1
 
     def try_cached_bytes(self, request) -> tuple[bytes, str] | None:
-        """Non-blocking byte-cache probe for the event loop's hot path.
+        """Non-blocking answer for the event loop's hot path.
 
-        Returns the cached ``(body, etag)`` and counts a byte hit, or
-        None without touching any counter — the loop then hands the
-        request to its off-loop executor, whose :meth:`query_bytes`
-        call tallies the miss.  Net effect: every request is exactly
-        one byte-cache lookup, same as the blocking path.
+        Returns the cached ``(body, etag)`` and counts a byte hit.  On a
+        byte-cache miss, a single-level ``point`` query with
+        ``limit: 1``, no ``power_budget``, over a priced space this
+        engine already holds is a budget-index binary search (~0.1 ms):
+        it is answered here, exactly as :meth:`query_bytes` would, and
+        counted as a byte miss.  Deeper rankings cost 0.4-1.2 ms at
+        limits 2-64 and stay off the caller's thread.  Anything
+        else returns None without touching any counter — the loop then
+        hands the request to its off-loop executor, whose
+        :meth:`query_bytes` call tallies the miss.  Net effect: every
+        request is exactly one byte-cache lookup, same as the blocking
+        path.
 
         Raises:
             RequestError: malformed request (surfaced on-loop as 400).
+            BudgetError: an inline point query's budget fits nothing.
         """
         normalized = validate_request(request)
         cache_key = json.dumps(normalized, sort_keys=True)
@@ -581,7 +595,20 @@ class QueryEngine:
                 self._result_bytes.move_to_end(cache_key)
                 self._stats["byte_hits"] += 1
                 return entry
-        return None
+            inline = (
+                normalized["type"] == "point"
+                and normalized["space"] == "single"
+                and normalized["limit"] == 1
+                and normalized["power_budget"] is None
+                and (
+                    normalized["os"],
+                    normalized["max_cache_assoc"],
+                    normalized["max_access_time_ns"],
+                ) in self._priced
+            )
+        if not inline:
+            return None
+        return self._publish_bytes(normalized, cache_key)
 
     # -- binary batch protocol ----------------------------------------
 

@@ -14,8 +14,10 @@ pre-fork worker (or a bare ``make_server``) runs exactly one
   :meth:`QueryEngine.try_cached_bytes` (or the raw-frame probe for the
   binary batch protocol): a hit writes the cached body bytes straight
   to the socket as ``memoryview`` slices — no re-validation loops, no
-  re-serialization, no copies of the body;
-* **miss** — cold queries run in a small bounded ``ThreadPoolExecutor``
+  re-serialization, no copies of the body.  A miss the engine can
+  answer without blocking (a warm-space ``limit: 1`` point) is answered
+  on-loop as well;
+* **miss** — other queries run in a small bounded ``ThreadPoolExecutor``
   so pricing a space or loading curves never stalls the loop; the
   worker thread queues the outcome and wakes the loop via a socketpair;
 * **shed** — when the in-flight executor budget is exhausted, or the
@@ -23,9 +25,14 @@ pre-fork worker (or a bare ``make_server``) runs exactly one
   query POSTs get a structured 429 + ``Retry-After`` instead of
   queueing without bound;
 * **back-pressure** — a connection whose write buffer is full stops
-  being read until it drains; a connection waiting on an off-loop
-  query stops being read until the answer is written (no unbounded
-  pipelining into a stalled engine).
+  being read until it drains; a connection with ``pipeline_depth``
+  requests awaiting answers (one, for a worker: an off-loop query)
+  stops being read until an answer is written (no unbounded
+  pipelining into a stalled engine);
+* **ordering** — every request that is answered later holds a slot in
+  its connection's FIFO, and a response leaves only when every
+  earlier one has, so pipelined answers keep request order however
+  their work completes.
 
 Fault injection keeps working on this path: injected latency parks the
 request on a loop timer (same draws and trip counts as the blocking
@@ -140,7 +147,7 @@ class _Request:
 
     __slots__ = (
         "method", "path", "route", "headers", "body_len", "reject",
-        "request_id", "started", "keep_alive",
+        "request_id", "started", "keep_alive", "slot",
     )
 
     def __init__(self):
@@ -153,6 +160,19 @@ class _Request:
         self.request_id = "-"
         self.started = 0.0
         self.keep_alive = True
+        self.slot: _Slot | None = None  # held while answered later
+
+
+class _Slot:
+    """A response position in a connection's FIFO; filled when the
+    request's answer is ready, released once every earlier slot is."""
+
+    __slots__ = ("head", "body", "done")
+
+    def __init__(self):
+        self.head = b""
+        self.body = b""
+        self.done = False
 
 
 class _Connection:
@@ -160,7 +180,7 @@ class _Connection:
 
     __slots__ = (
         "sock", "fd", "addr", "rbuf", "wq", "wbytes", "last_activity",
-        "cur", "head_len", "pending", "close_after_flush", "closed",
+        "cur", "head_len", "slots", "close_after_flush", "closed",
         "read_eof", "events", "parsing", "linger_left", "linger_until",
     )
 
@@ -174,7 +194,7 @@ class _Connection:
         self.last_activity = time.monotonic()
         self.cur: _Request | None = None
         self.head_len = 0
-        self.pending = False  # a query is off-loop (or on a fault timer)
+        self.slots: deque = deque()  # _Slot per request answered later
         self.close_after_flush = False
         self.closed = False
         self.read_eof = False
@@ -199,6 +219,10 @@ class EventLoopHTTPServer:
     # the fleet router adds 503 (all replicas of a shard down is a
     # retry-later condition, not a permanent failure).
     retry_after_statuses: tuple[int, ...] = (429,)
+    # Requests one connection may have awaiting answers before it stops
+    # being read.  A worker answers off-loop work one at a time per
+    # connection; the router forwards a pipeline to its shards.
+    pipeline_depth = 1
 
     def __init__(
         self,
@@ -280,12 +304,12 @@ class EventLoopHTTPServer:
                         listener_open = False
                     # Idle connections have nothing to drain.
                     for conn in list(self._conns.values()):
-                        if not conn.pending and not conn.wq:
+                        if not conn.slots and not conn.wq:
                             self._close_conn(conn)
                 if self._draining:
                     busy = [
                         c for c in self._conns.values()
-                        if c.pending or c.wq
+                        if c.slots or c.wq
                     ]
                     if not busy or now >= drain_deadline:
                         break
@@ -296,6 +320,8 @@ class EventLoopHTTPServer:
                     )
                 if self._draining:
                     timeout = min(timeout, max(drain_deadline - now, 0.01))
+                if self._completions:
+                    timeout = 0.0
                 try:
                     events = selector.select(timeout)
                 except OSError:
@@ -304,7 +330,15 @@ class EventLoopHTTPServer:
                     raise
                 for key, mask in events:
                     kind = key.data
-                    if kind == "accept":
+                    if kind.__class__ is _Connection:
+                        conn = kind
+                        if conn.closed:
+                            continue
+                        if mask & selectors.EVENT_WRITE:
+                            self._flush(conn)
+                        if not conn.closed and mask & selectors.EVENT_READ:
+                            self._on_readable(conn)
+                    elif kind == "accept":
                         self._accept_batch()
                     elif kind == "wake":
                         try:
@@ -313,20 +347,16 @@ class EventLoopHTTPServer:
                         except (BlockingIOError, InterruptedError):
                             pass
                     else:
-                        conn = kind
-                        if conn.closed:
-                            continue
-                        if mask & selectors.EVENT_WRITE:
-                            self._flush(conn)
-                        if not conn.closed and mask & selectors.EVENT_READ:
-                            self._on_readable(conn)
+                        kind(mask)  # a subclass's own socket handler
                 self._run_completions()
                 self._run_timers()
                 now = time.monotonic()
                 if now >= next_sweep:
                     next_sweep = now + SWEEP_INTERVAL_S
                     self._sweep(now)
+                self._end_batch()
         finally:
+            self._on_loop_exit()
             for conn in list(self._conns.values()):
                 self._close_conn(conn, quiet=True)
             if listener_open:
@@ -367,6 +397,13 @@ class EventLoopHTTPServer:
             except OSError:
                 pass
         self._executor.shutdown(wait=False, cancel_futures=True)
+
+    def _end_batch(self) -> None:
+        """Called once per loop iteration, after every event, completion
+        and timer of the batch; subclasses flush batched writes here."""
+
+    def _on_loop_exit(self) -> None:
+        """Called as the loop stops; subclasses close their own sockets."""
 
     def _wake(self) -> None:
         try:
@@ -416,7 +453,7 @@ class EventLoopHTTPServer:
             events |= selectors.EVENT_WRITE
         if (
             not conn.read_eof
-            and not conn.pending
+            and self._room(conn)
             and not conn.close_after_flush
             and conn.wbytes < self.max_write_buffer
         ):
@@ -425,6 +462,10 @@ class EventLoopHTTPServer:
 
     def _update_interest(self, conn: _Connection) -> None:
         self._register(conn, self._wanted_events(conn))
+
+    def _room(self, conn: _Connection) -> bool:
+        """Whether ``conn`` may have another request parsed now."""
+        return len(conn.slots) < self.pipeline_depth
 
     def _on_readable(self, conn: _Connection) -> None:
         if conn.linger_until:
@@ -446,16 +487,12 @@ class EventLoopHTTPServer:
         self._process_rbuf(conn)
 
     def _on_read_eof(self, conn: _Connection) -> None:
-        if conn.pending:
-            conn.close_after_flush = True
-            self._update_interest(conn)
-            return
-        self._process_rbuf(conn)
-        if conn.closed:
-            return
-        if conn.pending:
-            # The leftover buffer started a query; answer it, then close.
-            conn.close_after_flush = True
+        if self._room(conn):
+            self._process_rbuf(conn)
+            if conn.closed:
+                return
+        if not self._room(conn):
+            # Requests still buffered: answers resume the parse.
             self._update_interest(conn)
             return
         if conn.cur is not None:
@@ -471,14 +508,28 @@ class EventLoopHTTPServer:
                 close=True,
             )
             return
-        if conn.wq:
+        if conn.slots or conn.wq:
+            # Answer what was asked, then close.
             conn.close_after_flush = True
             self._update_interest(conn)
         else:
             self._close_conn(conn)
 
+    def _resume(self, conn: _Connection) -> None:
+        """After an answer frees a pipeline place: read on from the
+        buffered input, or finish a half-closed connection."""
+        if conn.closed:
+            return
+        self._update_interest(conn)
+        if conn.close_after_flush:
+            return
+        if conn.read_eof:
+            self._on_read_eof(conn)
+        elif conn.rbuf and self._room(conn):
+            self._process_rbuf(conn)
+
     def _client_gone(self, conn: _Connection) -> None:
-        if conn.cur is not None or conn.pending:
+        if conn.cur is not None or conn.slots:
             self.metrics.counter("http_responses").inc(label="client_gone")
         self._close_conn(conn)
 
@@ -513,14 +564,20 @@ class EventLoopHTTPServer:
                     wq[0] = first[sent:]
                     sent = 0
         conn.last_activity = time.monotonic()
-        if not wq and conn.close_after_flush:
+        if not wq and conn.close_after_flush and not conn.slots:
             if conn.linger_left:
                 self._linger(conn)
             else:
                 self._close_conn(conn)
             return
         self._update_interest(conn)
-        if not wq and not conn.pending and conn.rbuf and not conn.parsing:
+        if (
+            not wq
+            and self._room(conn)
+            and conn.rbuf
+            and not conn.parsing
+            and not conn.close_after_flush
+        ):
             # Back-pressure released: resume parsing pipelined input.
             self._process_rbuf(conn)
 
@@ -546,6 +603,35 @@ class EventLoopHTTPServer:
         conn.linger_left -= len(chunk)
         if not chunk or conn.linger_left <= 0:
             self._close_conn(conn)
+
+    def _hold(self, conn: _Connection, req: _Request) -> None:
+        """Reserve ``req``'s place in the response order: it will be
+        answered later (off-loop, on a timer, or upstream)."""
+        if req.slot is None:
+            req.slot = _Slot()
+            conn.slots.append(req.slot)
+
+    def _emit(self, conn: _Connection, req: _Request, head, body) -> None:
+        """Queue one response in request order: straight to the socket
+        when nothing earlier is outstanding, else into its slot."""
+        slot = req.slot
+        slots = conn.slots
+        if slot is None:
+            if not slots:
+                self._enqueue(conn, head)
+                if body:
+                    self._enqueue(conn, body)
+                return
+            slot = req.slot = _Slot()
+            slots.append(slot)
+        slot.head = head
+        slot.body = body
+        slot.done = True
+        while slots and slots[0].done:
+            ready = slots.popleft()
+            self._enqueue(conn, ready.head)
+            if ready.body:
+                self._enqueue(conn, ready.body)
 
     def _enqueue(self, conn: _Connection, data) -> None:
         if conn.closed:
@@ -581,7 +667,11 @@ class EventLoopHTTPServer:
         # once at the end — pipelined cache hits leave in one writev.
         conn.parsing = True
         try:
-            while not conn.closed and not conn.pending:
+            while (
+                not conn.closed
+                and self._room(conn)
+                and not conn.close_after_flush
+            ):
                 if conn.wbytes >= self.max_write_buffer:
                     break
                 rbuf = conn.rbuf
@@ -618,6 +708,12 @@ class EventLoopHTTPServer:
                 conn.cur = None
                 conn.head_len = 0
                 self._dispatch(conn, req, body)
+                if not req.keep_alive:
+                    # Its answer closes the connection: nothing pipelined
+                    # behind it is read, even while the answer is owed.
+                    conn.read_eof = True
+                    rbuf.clear()
+                    break
         finally:
             conn.parsing = False
         if not conn.closed:
@@ -695,7 +791,8 @@ class EventLoopHTTPServer:
     def _dispatch(self, conn: _Connection, req: _Request, body: bytes) -> None:
         req.started = time.perf_counter()
         injector = self.faults
-        if not injector.active and req.method == "POST" and body:
+        faulted = injector.active
+        if not faulted and req.method == "POST" and body:
             # Hot path: exact raw bytes seen before → serve the cached
             # response without parsing, validating, or tracing.  The
             # engine still tallies the hit so the byte-cache accounting
@@ -710,7 +807,7 @@ class EventLoopHTTPServer:
                 return
         if not req.request_id:
             req.request_id = self._next_request_id()
-        if injector.active:
+        if faulted:
             delay_ms = injector.draw_latency()
             if delay_ms:
                 self.metrics.counter("faults_injected_latency").inc()
@@ -722,7 +819,7 @@ class EventLoopHTTPServer:
                         self._timer_seq, conn, req, body,
                     ),
                 )
-                conn.pending = True
+                self._hold(conn, req)
                 self._update_interest(conn)
                 return
         self._dispatch_faulted(conn, req, body)
@@ -826,50 +923,51 @@ class EventLoopHTTPServer:
                 )
                 return
             try:
-                payload = binproto.split_frame(body, binproto.REQUEST_MAGIC)
+                task = binproto.split_frame(body, binproto.REQUEST_MAGIC)
             except RequestError as exc:
                 self._respond_error(conn, req, 400, "invalid_frame", str(exc))
                 return
-            probe = self.engine.try_cached_binary(payload)
-            task = payload
         else:
             try:
-                request = json.loads(body)
+                task = json.loads(body)
             except ValueError as exc:
                 self._respond_error(
                     conn, req, 400, "invalid_json", f"body is not JSON: {exc}"
                 )
                 return
-            try:
-                probe = self.engine.try_cached_bytes(request)
-            except Exception as exc:
-                self._respond_mapped_error(conn, req, exc)
-                return
-            task = request
+        self._serve_query(conn, req, body, binary, task)
+
+    def _serve_query(
+        self, conn: _Connection, req: _Request, body: bytes, binary: bool,
+        task,
+    ) -> None:
+        """Answer one parsed query POST (``task`` is the binary frame
+        payload or the decoded JSON request).
+
+        On-loop when the engine can answer without blocking — a byte
+        cache hit, or a warm-space ``limit: 1`` point it computes
+        inline — else on the executor.
+        """
+        engine = self.engine
+        try:
+            if binary:
+                probe = engine.try_cached_binary(task)
+            else:
+                probe = engine.try_cached_bytes(task)
+        except Exception as exc:
+            self._respond_mapped_error(conn, req, exc)
+            return
         if probe is not None:
             if not binary:
                 self._memoize_raw(body, probe)
             self._respond_query(conn, req, probe, binary)
             return
-        # Cache miss: the engine may price a space or hit the store —
-        # blocking work that must not stall the loop.  Shed instead of
-        # queueing without bound.
-        if (
-            self._inflight_count >= self.max_inflight
-            or self._buffered_total >= self.max_total_buffered
-        ):
-            self.metrics.counter("http_overload_rejections").inc()
-            self._respond_error(
-                conn, req, 429, "overloaded",
-                f"server is at its {self.max_inflight}-request "
-                f"concurrency limit; retry after {RETRY_AFTER_S}s",
-            )
+        # The engine may price a space or hit the store — blocking work
+        # that must not stall the loop.  Shed instead of queueing
+        # without bound.
+        if self._shed(conn, req):
             return
-        self._inflight_count += 1
-        self.metrics.gauge("http_inflight").add(1)
-        conn.pending = True
-        self._update_interest(conn)
-        engine = self.engine
+        self._begin_offloop(conn, req)
         compute = engine.query_binary if binary else engine.query_bytes
 
         def _run(task=task, conn=conn, req=req, binary=binary, raw=body):
@@ -881,6 +979,30 @@ class EventLoopHTTPServer:
             self._wake()
 
         self._executor.submit(_run)
+
+    def _shed(self, conn: _Connection, req: _Request) -> bool:
+        """Answer 429 when the in-flight or buffered-bytes budget is
+        spent; True when the request was shed."""
+        if (
+            self._inflight_count < self.max_inflight
+            and self._buffered_total < self.max_total_buffered
+        ):
+            return False
+        self.metrics.counter("http_overload_rejections").inc()
+        self._respond_error(
+            conn, req, 429, "overloaded",
+            f"server is at its {self.max_inflight}-request "
+            f"concurrency limit; retry after {RETRY_AFTER_S}s",
+        )
+        return True
+
+    def _begin_offloop(self, conn: _Connection, req: _Request) -> None:
+        """Count one request in flight and hold its response slot; its
+        outcome arrives through ``_completions``."""
+        self._inflight_count += 1
+        self.metrics.gauge("http_inflight").add(1)
+        self._hold(conn, req)
+        self._update_interest(conn)
 
     def _do_warm_traces(self, conn: _Connection, req: _Request, body: bytes) -> None:
         """Pre-populate this shard's trace-plane entries (blocking, off-loop).
@@ -910,18 +1032,9 @@ class EventLoopHTTPServer:
                 "warm_traces body must be a JSON object",
             )
             return
-        if self._inflight_count >= self.max_inflight:
-            self.metrics.counter("http_overload_rejections").inc()
-            self._respond_error(
-                conn, req, 429, "overloaded",
-                f"server is at its {self.max_inflight}-request "
-                f"concurrency limit; retry after {RETRY_AFTER_S}s",
-            )
+        if self._shed(conn, req):
             return
-        self._inflight_count += 1
-        self.metrics.gauge("http_inflight").add(1)
-        conn.pending = True
-        self._update_interest(conn)
+        self._begin_offloop(conn, req)
 
         def _run(request=request, conn=conn, req=req):
             try:
@@ -943,34 +1056,40 @@ class EventLoopHTTPServer:
     # -- completions / timers / sweep ---------------------------------
 
     def _run_completions(self) -> None:
+        # Answers are queued per connection and each connection is
+        # written once for the whole batch.
         completions = self._completions
+        gauge = self.metrics.gauge("http_inflight")
+        touched: dict[int, _Connection] = {}
         while completions:
             try:
                 conn, req, (kind, value, binary, raw) = completions.popleft()
             except IndexError:
                 break
             self._inflight_count -= 1
-            self.metrics.gauge("http_inflight").sub(1)
+            gauge.sub(1)
             if conn.closed:
                 self._finish_request(conn, req, "client_gone")
                 continue
-            conn.pending = False
-            if kind == "ok":
-                if not binary:
-                    self._memoize_raw(raw, value)
-                self._respond_query(conn, req, value, binary)
-            elif kind == "warm":
-                self._respond_json(
-                    conn, req, 200, {"ok": True, "result": value}
-                )
-            else:
-                self._respond_mapped_error(conn, req, value)
-            if not conn.closed:
-                self._update_interest(conn)
-                if not conn.pending and conn.rbuf:
-                    self._process_rbuf(conn)
-                elif conn.read_eof:
-                    self._on_read_eof(conn)
+            conn.parsing = True
+            try:
+                if kind == "ok":
+                    if not binary:
+                        self._memoize_raw(raw, value)
+                    self._respond_query(conn, req, value, binary)
+                elif kind == "warm":
+                    self._respond_json(
+                        conn, req, 200, {"ok": True, "result": value}
+                    )
+                else:
+                    self._respond_mapped_error(conn, req, value)
+            finally:
+                conn.parsing = False
+            touched[id(conn)] = conn
+        for conn in touched.values():
+            if conn.wq and not conn.closed:
+                self._flush(conn)
+            self._resume(conn)
 
     def _run_timers(self) -> None:
         now = time.monotonic()
@@ -978,12 +1097,8 @@ class EventLoopHTTPServer:
             _, _, conn, req, body = heapq.heappop(self._timers)
             if conn.closed:
                 continue
-            conn.pending = False
             self._dispatch_faulted(conn, req, body)
-            if not conn.closed:
-                self._update_interest(conn)
-                if not conn.pending and conn.rbuf:
-                    self._process_rbuf(conn)
+            self._resume(conn)
 
     def _sweep(self, now: float) -> None:
         """Periodic housekeeping: idle and linger timeouts, loop gauges."""
@@ -993,8 +1108,8 @@ class EventLoopHTTPServer:
                 if now >= conn.linger_until:
                     self._close_conn(conn)
                 continue
-            if conn.pending:
-                continue  # an engine answer is coming; don't kill it
+            if conn.slots:
+                continue  # an answer is coming; don't kill it
             if timeout and timeout > 0 and now - conn.last_activity > timeout:
                 if conn.cur is not None or conn.wq:
                     self.metrics.counter("http_responses").inc(
@@ -1074,7 +1189,15 @@ class EventLoopHTTPServer:
         if conn.closed:
             self._finish_request(conn, req, "client_gone")
             return
-        close = close or not req.keep_alive or conn.close_after_flush
+        close = (
+            close
+            or not req.keep_alive
+            # A half-closed client: the last answer owed closes.
+            or (
+                conn.close_after_flush
+                and (req.slot is None or conn.slots[-1] is req.slot)
+            )
+        )
         if status == 200 and etag is not None and not close:
             # The dominant shape (200, keep-alive, tagged): one bytes
             # interpolation instead of string assembly + encode.
@@ -1088,9 +1211,7 @@ class EventLoopHTTPServer:
                 req.request_id.encode("latin-1"),
                 etag.encode("latin-1"),
             )
-            self._enqueue(conn, head)
-            if body:
-                self._enqueue(conn, body)
+            self._emit(conn, req, head, body)
             self._finish_request(conn, req, 200)
             if not conn.parsing:
                 self._flush(conn)
@@ -1110,9 +1231,7 @@ class EventLoopHTTPServer:
         if close:
             parts.append("Connection: close")
         head = ("\r\n".join(parts) + "\r\n\r\n").encode("latin-1")
-        self._enqueue(conn, head)
-        if body and status != 304:
-            self._enqueue(conn, body)
+        self._emit(conn, req, head, body if status != 304 else b"")
         if close:
             conn.close_after_flush = True
             conn.read_eof = True  # no further requests on this socket

@@ -26,7 +26,8 @@ Since PR 6 the implementation behind :func:`make_server` is a
 ``selectors``-based non-blocking event loop
 (:class:`~repro.service.eventloop.EventLoopHTTPServer`) rather than a
 thread-per-connection ``http.server``: cached answers are written as
-zero-copy ``memoryview`` slices, engine misses run in a small bounded
+zero-copy ``memoryview`` slices, warm-space ``limit: 1`` points are
+answered on the loop too, other engine misses run in a small bounded
 executor off the loop, slow clients are bounded by per-connection and
 loop-wide buffer caps, and overload is shed with structured 429 +
 ``Retry-After`` instead of queueing without bound.  The object model

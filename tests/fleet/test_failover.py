@@ -12,6 +12,8 @@ serves the same immutable store, so the router's next-replica retry
 can only change *who* answers, never *what*.
 """
 
+import json
+import socket
 import threading
 import time
 
@@ -20,8 +22,12 @@ import pytest
 from repro.core.allocator import Allocator
 from repro.fleet.health import HealthChecker
 from repro.fleet.local import FleetSupervisor, resolve_nodes, resolve_replicas
+from repro.fleet.ring import shard_key
 from repro.service.client import ServiceClient
-from repro.service.engine import allocation_entry
+from repro.service.engine import QueryEngine, allocation_entry
+from repro.service.requests import validate_request
+from repro.store import CurveStore
+from tests.fleet.test_router import _read_responses, _wire
 
 pytestmark = [pytest.mark.fleet, pytest.mark.concurrency]
 
@@ -137,6 +143,51 @@ class TestChaosGate:
         assert _rows(client.query(dict(request))["allocations"]) == (
             expected[POINT_BUDGETS[0]]
         )
+
+
+class TestPipelinedKill:
+    PIPELINED = 60
+
+    def test_kill_with_pipelined_requests_outstanding_loses_nothing(
+        self, store
+    ):
+        """One raw connection pipelines a burst at the router; the
+        shard holding them (40 ms of injected latency per request, so
+        most are still outstanding) is SIGKILLed mid-burst.  Every
+        request is answered 200, byte-identical, in order: the router
+        replays what the torn upstream connections still owed."""
+        fleet = FleetSupervisor(
+            store.root, nodes=2, replicas=2, faults="latency_ms=40",
+            probe_interval_s=0.2, fail_threshold=2,
+        )
+        fleet.start()
+        try:
+            requests = [
+                {"type": "point", "os": "mach", "limit": 3,
+                 "budget": 150_000.0 + 2_500.0 * i}
+                for i in range(self.PIPELINED)
+            ]
+            key = shard_key(validate_request(requests[0]))
+            victim = fleet.ring.preference(key, 2)[0]
+            engine = QueryEngine(CurveStore.open(store.root))
+            expected = [engine.query_bytes(r)[0] for r in requests]
+            host, port = fleet.router.server_address[:2]
+            with socket.create_connection((host, port), timeout=30) as sock:
+                sock.sendall(b"".join(
+                    _wire(json.dumps(r).encode()) for r in requests
+                ))
+                time.sleep(0.3)
+                fleet.kill_shard(victim)
+                responses = _read_responses(sock, len(requests))
+            stats = fleet.router.engine.stats
+        finally:
+            fleet.stop()
+        assert [status for status, _, _ in responses] == (
+            [200] * len(requests)
+        )
+        assert [body for _, _, body in responses] == expected
+        assert stats["failovers"] >= 1
+        assert stats["exhausted"] == 0
 
 
 class TestMarkDownMarkUp:

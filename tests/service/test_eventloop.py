@@ -302,3 +302,103 @@ class TestClientKeepAlive:
         finally:
             client.close()
             _stop(server, thread)
+
+
+class TestInlineAnswers:
+    """Warm-space point queries are answered on the loop thread; the
+    rest still go to the executor.  Either way the bytes and the cache
+    accounting are the executor path's."""
+
+    def _sequence(self, engine) -> list[dict]:
+        """``limit: 1`` points over the warm space (repeats included),
+        plus shapes that stay off-loop: deeper, unlimited,
+        power-budgeted, batch."""
+        points = [
+            dict(json.loads(p), limit=1)
+            for p in _budget_payloads(engine, 12, seed=5)
+        ]
+        return points + points[:4] + [
+            dict(points[0], limit=2),
+            {"type": "point", "os": "mach", "budget": 250_000.0},
+            {"type": "point", "os": "mach", "budget": 250_000.0,
+             "limit": 2, "power_budget": 1e12},
+            {"type": "batch", "os": "mach", "budgets": [200_000.0]},
+        ]
+
+    def test_inline_bytes_equal_executor_bytes(self, store):
+        warm = QueryEngine(store)
+        warm.priced_space("mach")
+        cold = QueryEngine(store)
+        for request in self._sequence(warm)[:12]:
+            inline = warm.try_cached_bytes(dict(request))
+            assert inline is not None  # answered without the executor
+            assert inline == cold.query_bytes(dict(request))
+        unlimited = {"type": "point", "os": "mach", "budget": 250_000.0}
+        assert warm.try_cached_bytes(unlimited) is None
+        assert QueryEngine(store).try_cached_bytes(
+            {"type": "point", "os": "mach", "budget": 250_000.0, "limit": 1}
+        ) is None  # cold space: the executor prices it
+
+    def test_stats_match_the_executor_path(self, store):
+        served = QueryEngine(store)
+        served.priced_space("mach")
+        reference = QueryEngine(store)
+        reference.priced_space("mach")
+        sequence = self._sequence(served)
+        server, thread = _serve(served)
+        submitted = []
+        real_submit = server._executor.submit
+
+        def counting_submit(fn, *args):
+            submitted.append(fn)
+            return real_submit(fn, *args)
+
+        server._executor.submit = counting_submit
+        client = ServiceClient(_base(server))
+        try:
+            for request in sequence:
+                client.query(dict(request))
+        finally:
+            client.close()
+            _stop(server, thread)
+        for request in sequence:
+            reference.query_bytes(dict(request))
+        keys = ("byte_hits", "byte_misses", "hits", "misses")
+        assert {k: served.stats[k] for k in keys} == {
+            k: reference.stats[k] for k in keys
+        }
+        assert len(submitted) == 4  # only the off-loop shapes
+
+    def test_cold_pricing_stays_off_the_loop(self, store):
+        engine = QueryEngine(store)
+        real_price = engine.priced_space
+        pricing = threading.Event()
+
+        def slow_price(*args, **kwargs):
+            pricing.set()
+            time.sleep(1.0)
+            return real_price(*args, **kwargs)
+
+        engine.priced_space = slow_price
+        server, thread = _serve(engine)
+        outcome = {}
+
+        def cold_query():
+            outcome["result"] = ServiceClient(_base(server)).query(
+                {"type": "point", "os": "mach", "budget": 250_000.0,
+                 "limit": 1}
+            )
+
+        querier = threading.Thread(target=cold_query)
+        try:
+            querier.start()
+            assert pricing.wait(timeout=10.0)
+            start = time.monotonic()
+            health = ServiceClient(_base(server)).health()
+            elapsed = time.monotonic() - start
+            querier.join(timeout=30.0)
+        finally:
+            _stop(server, thread)
+        assert health["status"] == "serving"
+        assert elapsed < 0.5  # answered while the pricing sleeps
+        assert outcome["result"]["count"] == 1
