@@ -569,7 +569,9 @@ def bench_alloc_scaling() -> dict:
     time" *per level* and which an L2 axis multiplies out of reach.
     The space build includes its exact Pareto frontier; each budget
     then times one frontier query against one exhaustive scan and
-    checks both pick the same flat index and CPI.
+    checks both pick the same flat index and CPI.  Each frontier point
+    is also asked for at its own (area, power) budgets, which must
+    return it: the frontier keeps only points some query returns.
     """
     from repro.core.hierarchy import build_two_level_space
 
@@ -615,6 +617,12 @@ def bench_alloc_scaling() -> dict:
                 "identical": flat == exact_flat and got.cpi == exact.cpi,
             }
         )
+    frontier = space.frontier
+    own_answers = [
+        np.ravel_multi_index(space.best(area, power).choice, sizes)
+        for area, power in zip(*frontier.points[:2])
+    ]
+    self_answering = int(np.sum(np.array(own_answers) == frontier.flat))
     speedups = sorted(row["speedup"] for row in rows)
     scans = sorted(row["exhaustive_seconds"] for row in rows)
     return {
@@ -622,7 +630,8 @@ def bench_alloc_scaling() -> dict:
         "os": OS_NAME,
         "references": BENCH_REFERENCES,
         "space_points": space.size,
-        "frontier_points": len(space.frontier),
+        "frontier_points": len(frontier),
+        "self_answering_points": self_answering,
         "build_seconds": round(build_s, 3),
         "median_exhaustive_seconds": scans[len(scans) // 2],
         "median_speedup": speedups[len(speedups) // 2],
@@ -741,12 +750,20 @@ def check_write_buffer(wb: dict) -> int:
 
 
 def check_alloc_scaling(alloc: dict) -> int:
-    """CI tripwire: frontier answers bit-identical to exhaustive, queries
-    >= 100x faster than a scan, and the build faster than one scan."""
+    """CI tripwire: frontier answers bit-identical to exhaustive, every
+    frontier point the answer at its own budgets, queries >= 100x
+    faster than a scan, and the build faster than one scan."""
     failed = 0
     bad = [r["budget_rbe"] for r in alloc["rows"] if not r["identical"]]
     if bad:
         print(f"alloc check FAILED: frontier differs from exhaustive at {bad}")
+        failed = 1
+    dead = alloc["frontier_points"] - alloc["self_answering_points"]
+    if dead:
+        print(
+            f"alloc check FAILED: {dead} frontier points are not the "
+            "answer at their own (area, power) budgets"
+        )
         failed = 1
     if alloc["median_speedup"] < ALLOC_SPEEDUP_FLOOR:
         print(
@@ -764,6 +781,8 @@ def check_alloc_scaling(alloc: dict) -> int:
     if not failed:
         print(
             f"alloc check OK: identical at all {len(alloc['rows'])} budgets, "
+            f"all {alloc['frontier_points']:,} frontier points answer "
+            "their own budgets, "
             f"median speedup {alloc['median_speedup']}x over "
             f"{alloc['space_points']:,} points, build "
             f"{alloc['build_seconds']}s"

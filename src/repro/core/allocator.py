@@ -48,6 +48,36 @@ class Allocation:
         }
 
 
+def stable_order(
+    key: np.ndarray, tiebreak: np.ndarray | None = None
+) -> np.ndarray:
+    """``np.lexsort((tiebreak, key))``, or ``np.argsort(key,
+    kind="stable")`` without a tiebreak, for finite float keys.
+
+    An unstable sort orders the keys; only the runs of equal keys are
+    then re-sorted, by (tiebreak, index), so the result is the same
+    permutation at a fraction of a full stable sort's cost when ties
+    are few.
+    """
+    order = np.argsort(key)
+    ranked = key[order]
+    equal = ranked[1:] == ranked[:-1]
+    if equal.any():
+        n = order.size
+        tied = np.zeros(n, dtype=bool)
+        tied[1:] = equal
+        tied[:-1] |= equal
+        starts = tied.copy()
+        starts[1:] &= ~equal
+        run = np.cumsum(starts)[tied]
+        # Each run's indices ascending, runs kept in place.
+        sub = np.sort(run * n + order[tied]) % n
+        if tiebreak is not None:
+            sub = sub[np.lexsort((tiebreak[sub], run))]
+        order[tied] = sub
+    return order
+
+
 @dataclass(frozen=True)
 class PricedSpace:
     """A configuration space priced once, ready for any budget.
@@ -94,7 +124,7 @@ class PricedSpace:
         subset's relative order in the full stable sort), so repeated
         budget queries skip the per-query lexsort entirely.
         """
-        return np.lexsort((self.area_grid, self.cpi_grid))
+        return stable_order(self.cpi_grid, self.area_grid)
 
     @cached_property
     def budget_index(self) -> "BudgetIndex":
@@ -273,13 +303,13 @@ trusted."""
 
 def _feasible_at(
     budgets: np.ndarray,
-    t_flat: np.ndarray,
-    i_flat: np.ndarray,
-    d_flat: np.ndarray,
+    t_area: np.ndarray,
+    i_area: np.ndarray,
+    d_area: np.ndarray,
 ) -> np.ndarray:
     """Element-wise replay of the reference feasibility predicate."""
-    budget_left = (budgets - t_flat) - i_flat
-    return (budget_left >= 0) & (d_flat <= budget_left)
+    budget_left = (budgets - t_area) - i_area
+    return (budget_left >= 0) & (d_area <= budget_left)
 
 
 def _feasibility_thresholds(priced: PricedSpace) -> np.ndarray:
@@ -288,29 +318,38 @@ def _feasibility_thresholds(priced: PricedSpace) -> np.ndarray:
     Starts each entry at its ``area_grid`` value, walks up one ULP at a
     time until the reference predicate holds, then walks down while the
     next-lower float still satisfies it — yielding the minimal float
-    budget per entry.  Both walks are vectorized over the unsettled
-    subset and bounded; the predicate's rounding error is a few ULPs,
-    so the bound is never approached on real spaces.
+    budget per entry.  The first test of each walk covers the whole
+    grid by broadcasting; later steps cover only the unsettled entries.
+    Both walks are bounded; the predicate's rounding error is a few
+    ULPs, so the bound is never approached on real spaces.
     """
     n_i, n_d = len(priced.icache_keys), len(priced.dcache_keys)
-    t_flat = np.repeat(priced.t_area, n_i * n_d)
-    i_flat = np.tile(np.repeat(priced.i_area, n_d), len(priced.tlb_keys))
-    d_flat = np.tile(priced.d_area, len(priced.tlb_keys) * n_i)
-    thresholds = priced.area_grid.astype(np.float64).copy()
+
+    def feasible(budgets: np.ndarray, flat: np.ndarray | None = None):
+        """The predicate at ``budgets``: for every entry in grid order,
+        or for the entries ``flat``."""
+        if flat is None:
+            return _feasible_at(
+                budgets.reshape(-1, n_i, n_d),
+                priced.t_area[:, None, None],
+                priced.i_area[:, None],
+                priced.d_area,
+            ).ravel()
+        t, rest = np.divmod(flat, n_i * n_d)
+        i, d = np.divmod(rest, n_d)
+        return _feasible_at(
+            budgets, priced.t_area[t], priced.i_area[i], priced.d_area[d]
+        )
+
+    thresholds = priced.area_grid.astype(np.float64)
 
     # Walk up until feasible at the candidate budget.
-    pending = np.flatnonzero(
-        ~_feasible_at(thresholds, t_flat, i_flat, d_flat)
-    )
+    pending = np.flatnonzero(~feasible(thresholds))
     for _ in range(_THRESHOLD_WALK_LIMIT):
         if pending.size == 0:
             break
         thresholds[pending] = np.nextafter(thresholds[pending], np.inf)
-        ok = _feasible_at(
-            thresholds[pending], t_flat[pending], i_flat[pending],
-            d_flat[pending],
-        )
-        pending = pending[~ok]
+        pending = pending[~feasible(thresholds[pending], pending)]
     else:
         raise AssertionError(
             "budget-index threshold search did not converge upward; "
@@ -318,16 +357,13 @@ def _feasibility_thresholds(priced: PricedSpace) -> np.ndarray:
         )
 
     # Walk down while the next-lower float is still feasible.
-    pending = np.arange(thresholds.size)
+    pending = np.flatnonzero(feasible(np.nextafter(thresholds, -np.inf)))
     for _ in range(_THRESHOLD_WALK_LIMIT):
-        lower = np.nextafter(thresholds[pending], -np.inf)
-        ok = _feasible_at(
-            lower, t_flat[pending], i_flat[pending], d_flat[pending]
-        )
-        if not ok.any():
+        if pending.size == 0:
             break
-        thresholds[pending[ok]] = lower[ok]
-        pending = pending[ok]
+        thresholds[pending] = np.nextafter(thresholds[pending], -np.inf)
+        lower = np.nextafter(thresholds[pending], -np.inf)
+        pending = pending[feasible(lower, pending)]
     else:
         raise AssertionError(
             "budget-index threshold search did not converge downward; "
@@ -359,7 +395,7 @@ def build_budget_index(priced: PricedSpace) -> BudgetIndex:
     # Rank position per threshold-sorted entry; the best feasible
     # allocation under B is the smallest rank among entries whose
     # threshold is <= B, read off a prefix minimum.
-    thr_argsort = np.argsort(thresholds, kind="stable")
+    thr_argsort = stable_order(thresholds)
     thr_sorted = thresholds[thr_argsort]
     inv_rank = np.empty(order.size, dtype=np.intp)
     inv_rank[order] = np.arange(order.size)

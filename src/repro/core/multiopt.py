@@ -11,20 +11,34 @@ valid for every budget.
 The objective is *separable*: total area, power and CPI are left folds
 over the structures in enumeration order — area and power start at
 0.0, CPI at ``fixed_cpi`` — exactly as :func:`exhaustive_best`
-accumulates them.  :func:`build_frontier` runs that fold one structure
-at a time over *partial* selections (one design point per structure so
-far).  After each stage it drops every partial q for which some partial
-p at the same stage has a lower flat prefix index and area, power and
-cpi each <= q's.  Float addition rounds monotonically, so after any
-common suffix p's totals stay <= q's: p's completion fits whenever q's
-does and precedes it in the exhaustive (cpi, area, flat index) order.
-No optimum is ever dropped, whether or not a power budget applies (an
-area-only optimum is not dominated on all three axes either), so one
-frontier answers both query kinds bit-identically to
-:func:`exhaustive_best`.
+accumulates them.  A query (:meth:`Frontier.best`) takes the first
+frontier point, in (cpi, area, flat) order, that fits the budget(s).
+:func:`build_frontier` runs the fold one structure at a time over
+*partial* selections (one design point per structure so far), and
+keeps the frontier exact in two steps.
 
-A query (:meth:`Frontier.best`) takes the first frontier point, in
-(cpi, area, flat) order, that fits the budget(s).
+**Stage pruning.**  After every stage but the last it drops each
+partial q for which some partial p at the same stage has a lower flat
+prefix index and area, power and cpi each <= q's.  Float addition
+rounds monotonically, so after any common suffix p's totals stay <=
+q's: p's completion fits whenever q's does and precedes it in the
+exhaustive (cpi, area, flat index) order.  So every optimum, under an
+area budget alone or with a power budget, is among the last stage's
+candidates.
+
+**The answer set.**  Of those candidates the frontier keeps only the
+ones some query returns.  A candidate q fits the budgets (q's area,
+q's power), and the answer there is the first fitting candidate in
+query order, so q is ever returned iff no candidate before it has
+area <= and power <= q's; an area-only answer passes the same test,
+since nothing before it has even area <= its own.  The test is one
+2-D staircase sweep in query order over the union of the candidate
+blocks, after each block drops the candidates that another of its own
+candidates already fails in this way.  The relation is transitive, so
+every dropped candidate keeps a witness in what the sweep sees.
+
+One frontier therefore answers both query kinds bit-identically to
+:func:`exhaustive_best`, and every point on it is some query's answer.
 
 Feasibility here is the summed-total predicate ``area <= budget`` of
 :func:`exhaustive_best`.  The single-level
@@ -210,12 +224,14 @@ class _Front:
 
 @dataclass(frozen=True)
 class Frontier:
-    """The exact Pareto frontier of a separable space.
+    """The exact Pareto frontier of a separable space: the points some
+    area or area x power query returns.
 
     Attributes:
         structures: the curves, in enumeration order.
         points: 3 x n totals (area, power, cpi) of the frontier
-            points, columns sorted by (cpi, area, flat).
+            points, columns sorted by (cpi, area, flat).  Each column
+            is the answer at budgets equal to its own area and power.
         flat: each point's flat index into the cross product.
     """
 
@@ -251,35 +267,150 @@ class Frontier:
         )
 
 
+def _first_below(area: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """Mask of the points that no earlier point is <= on both area and
+    power.
+
+    One sweep in array order, in chunks of 16 points doubling to 128
+    (the staircase fills early, and each pairwise test stays small): a
+    chunk is tested against the staircase of the points kept before
+    it, then its survivors against each other.  A point dropped by
+    either test has an earlier kept witness (the relation is
+    transitive), so testing against kept points alone is exact.
+    """
+    keep = np.zeros(len(area), dtype=bool)
+    # Kept (area, power) points of strictly falling power by rising
+    # area, behind a sentinel that is <= no point.
+    stair_a, stair_p = np.array([-np.inf]), np.array([np.inf])
+    start, step = 0, 16
+    while start < len(area):
+        a, p = area[start:start + step], power[start:start + step]
+        # The least kept power at or below each area.
+        live = np.flatnonzero(
+            stair_p[np.searchsorted(stair_a, a, "right") - 1] > p
+        )
+        a, p = a[live], p[live]
+        le = (a[:, None] <= a) & (p[:, None] <= p)
+        fresh = ~np.triu(le, 1).any(axis=0)
+        if fresh.any():
+            keep[start + live[fresh]] = True
+            stair_a = np.concatenate((stair_a, a[fresh]))
+            stair_p = np.concatenate((stair_p, p[fresh]))
+            order = np.lexsort((stair_p, stair_a))
+            stair_a, stair_p = stair_a[order], stair_p[order]
+            step_down = np.ones(len(stair_p), dtype=bool)
+            step_down[1:] = stair_p[1:] < np.minimum.accumulate(stair_p)[:-1]
+            stair_a, stair_p = stair_a[step_down], stair_p[step_down]
+        start += step
+        step = min(2 * step, 128)
+    return keep
+
+
+def _witnessed(points: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Mask of the candidates that some other candidate precedes in
+    (cpi, area, flat) order with area and power <= their own.
+
+    A filter, not the whole answer set: after an unstable sort on cpi,
+    each candidate is tested against two before it, the last one of
+    least area and the last one of least power.
+    """
+    order = np.argsort(points[2])
+    area, power, cpi = points[:, order]
+    flat = flat[order]
+    index = np.arange(len(flat))
+    out = np.zeros(len(flat), dtype=bool)
+    rest = slice(1, None)
+    for key in (area, power):
+        at_min = key == np.minimum.accumulate(key)
+        w = np.maximum.accumulate(np.where(at_min, index, 0))[:-1]
+        # cpi[w] <= cpi[rest] by the sort; with area <= too, w comes
+        # first in query order unless both tie and its flat is later.
+        out[rest] |= (
+            (area[w] <= area[rest])
+            & (power[w] <= power[rest])
+            & (
+                (cpi[w] < cpi[rest])
+                | (area[w] < area[rest])
+                | (flat[w] < flat[rest])
+            )
+        )
+    mask = np.empty_like(out)
+    mask[order] = out
+    return mask
+
+
+def _answer_set(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates that :meth:`Frontier.best` can return, in
+    (cpi, area, flat) order.
+
+    ``blocks`` yields (3 x n points, flat) pairs whose columns run in
+    flat order, within and across pairs.  Each block first drops the
+    candidates :func:`_witnessed` finds; a stable sort of the rest on
+    (cpi, area) keeps flat order among ties, and a candidate is an
+    answer iff no candidate before it has area and power <= its own.
+    """
+    kept = []
+    for points, flat in blocks:
+        fresh = ~_witnessed(points, flat)
+        kept.append((points[:, fresh], flat[fresh]))
+    points = np.concatenate([p for p, _ in kept], axis=1)
+    flat = np.concatenate([f for _, f in kept])
+    order = np.lexsort((points[0], points[2]))
+    points, flat = points[:, order], flat[order]
+    keep = _first_below(points[0], points[1])
+    return points[:, keep], flat[keep]
+
+
+def _candidates(points: np.ndarray, flat: np.ndarray, curve: StructureCurve):
+    """Yield one stage's candidates, in flat order, as (points, flat)
+    blocks of about ``_BLOCK`` columns: the kept partials, some rows at
+    a time, each extended by every point of ``curve`` that no
+    lower-index point of it dominates (the same dominance, so the
+    same proof)."""
+    own = _Front()
+    own.extend(
+        np.stack((curve.areas, curve.powers, curve.cpis)),
+        np.arange(curve.size, dtype=np.int64),
+    )
+    rows = max(1, _BLOCK // len(own.flat))
+    for start in range(0, len(flat), rows):
+        part = slice(start, start + rows)
+        yield (
+            (points[:, part, None] + own.points[:, None, :]).reshape(3, -1),
+            (flat[part, None] * curve.size + own.flat).ravel(),
+        )
+
+
+def _partials(
+    structures: list[StructureCurve], fixed_cpi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The partials over ``structures`` that stage pruning keeps, in
+    flat order."""
+    points = np.array([[0.0], [0.0], [fixed_cpi]])
+    flat = np.zeros(1, dtype=np.int64)
+    for curve in structures:
+        stage = _Front()
+        for block in _candidates(points, flat, curve):
+            stage.extend(*block)
+        points, flat = stage.points, stage.flat
+    return points, flat
+
+
 def build_frontier(
     structures: list[StructureCurve], fixed_cpi: float = 0.0
 ) -> Frontier:
     """Build the exact frontier of ``structures`` stage by stage.
 
-    Each structure is first pruned against its own lower-index points
-    (the same dominance, so the same proof); each stage then pairs the
-    kept partials with the kept points one block of partial rows at a
-    time, so every candidate array stays near ``_BLOCK`` points.
+    Every stage but the last keeps the partials no lower-index partial
+    dominates; the last keeps the answer set.  Candidates are made and
+    first filtered one block at a time, so only the block survivors
+    are ever held together.
     """
-    points = np.array([[0.0], [0.0], [fixed_cpi]])
-    flat = np.zeros(1, dtype=np.int64)
-    for curve in structures:
-        own = _Front()
-        own.extend(
-            np.stack((curve.areas, curve.powers, curve.cpis)),
-            np.arange(curve.size, dtype=np.int64),
-        )
-        stage = _Front()
-        rows = max(1, _BLOCK // len(own.flat))
-        for start in range(0, len(flat), rows):
-            part = slice(start, start + rows)
-            stage.extend(
-                (points[:, part, None] + own.points[:, None, :]).reshape(3, -1),
-                (flat[part, None] * curve.size + own.flat).ravel(),
-            )
-        points, flat = stage.points, stage.flat
-    order = np.lexsort((flat, points[0], points[2]))
-    return Frontier(tuple(structures), points[:, order], flat[order])
+    *inner, last = structures
+    points, flat = _answer_set(
+        _candidates(*_partials(inner, fixed_cpi), last)
+    )
+    return Frontier(tuple(structures), points, flat)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ one-ULP neighbours on either side, under both OS models.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.allocator import (
     Allocator,
@@ -17,6 +19,7 @@ from repro.core.allocator import (
     pareto_indexed,
     rank_indexed,
     rank_priced,
+    stable_order,
 )
 from repro.core.measure import measure_workload
 from repro.core.space import enumerate_cache_configs, enumerate_tlb_configs
@@ -166,3 +169,39 @@ class TestIndexInternals:
 
     def test_index_is_cached_per_space(self, priced):
         assert priced.budget_index is priced.budget_index
+
+    def test_grid_orders_equal_stable_sorts(self, priced):
+        """The rank order and the threshold order are the stable sorts
+        they stand for."""
+        assert np.array_equal(
+            priced.sorted_order,
+            np.lexsort((priced.area_grid, priced.cpi_grid)),
+        )
+        index = priced.budget_index
+        by_threshold = np.argsort(index.thresholds, kind="stable")
+        assert np.array_equal(index.thr_sorted, index.thresholds[by_threshold])
+        rank = np.empty(index.size, dtype=np.intp)
+        rank[priced.sorted_order] = np.arange(index.size)
+        assert np.array_equal(
+            index.best_prefix, np.minimum.accumulate(rank[by_threshold])
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from((0.0, -0.0, 1.0, 1.5, 2.0, 3.0)), max_size=60),
+    st.data(),
+)
+def test_stable_order_is_a_stable_sort(keys, data):
+    """Runs of equal keys (signed zeros included) come out by
+    tiebreak, then index."""
+    key = np.array(keys, dtype=np.float64)
+    tiebreak = np.array(
+        data.draw(st.lists(st.sampled_from((0.0, 1.0, 2.0)),
+                           min_size=len(keys), max_size=len(keys))),
+        dtype=np.float64,
+    )
+    assert np.array_equal(stable_order(key), np.argsort(key, kind="stable"))
+    assert np.array_equal(
+        stable_order(key, tiebreak), np.lexsort((tiebreak, key))
+    )

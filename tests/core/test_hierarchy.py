@@ -171,15 +171,20 @@ class TestSearch:
         assert entries == sorted(entries)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("os_name", ["mach", "ultrix"])
-def test_full_two_level_space_matches_exhaustive(os_name):
-    """The whole [TLB, L1I, L1D, L2] space (~10^7 points) of each OS:
-    8 area budgets and 4 joint area x power budgets across the
-    feasible range, each bit-identical to the exhaustive scan."""
-    space = build_two_level_space(
-        measure_workload("ousterhout", os_name, references=60_000)
+@pytest.fixture(scope="module", params=["mach", "ultrix"])
+def full_space(request):
+    """The whole [TLB, L1I, L1D, L2] space (~10^7 points) of an OS."""
+    return build_two_level_space(
+        measure_workload("ousterhout", request.param, references=60_000)
     )
+
+
+@pytest.mark.slow
+def test_full_two_level_space_matches_exhaustive(full_space):
+    """8 area budgets and 4 joint area x power budgets across the
+    feasible range of each OS's whole space, each bit-identical to the
+    exhaustive scan."""
+    space = full_space
     assert space.size > 10**7
 
     def span(values):
@@ -203,3 +208,15 @@ def test_full_two_level_space_matches_exhaustive(os_name):
                 space.best(budget, power_budget_mw=power_budget)
         else:
             assert space.best(budget, power_budget_mw=power_budget) == want
+
+
+@pytest.mark.slow
+def test_every_frontier_point_answers_its_own_budgets(full_space):
+    """Every point the frontier keeps is what a query at its own area
+    and power budgets returns, so the frontier holds no dead point."""
+    frontier = full_space.frontier
+    sizes = [s.size for s in full_space.structures]
+    for area, power, cpi, flat in zip(*frontier.points, frontier.flat):
+        got = full_space.best(area, power_budget_mw=power)
+        assert np.ravel_multi_index(got.choice, sizes) == flat
+        assert (got.area, got.power, got.cpi) == (area, power, cpi)

@@ -3,9 +3,10 @@
 The contract under test (see :mod:`repro.core.multiopt`): the answer
 :meth:`Frontier.best` reads off the frontier equals
 :func:`exhaustive_best` bit for bit — choice, area, cpi and power —
-under an area budget with or without a power budget.  On the
-single-level priced grids it equals the brute-force ranking's top-1
-under the same summed-total feasibility predicate.
+under an area budget with or without a power budget, and every
+frontier point is that answer at budgets equal to its own area and
+power.  On the single-level priced grids it equals the brute-force
+ranking's top-1 under the same summed-total feasibility predicate.
 
 Several class and test names date from the greedy allocator these
 cases first gated; every case now runs against the frontier.
@@ -16,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import multiopt
 from repro.core.allocator import Allocator, rank_priced, rank_priced_power
 from repro.core.measure import measure_workload
 from repro.core.multiopt import (
     StructureCurve,
     build_frontier,
     exhaustive_best,
+    exhaustive_best_many,
     pareto_surface,
 )
 from repro.core.space import enumerate_cache_configs, enumerate_tlb_configs
@@ -349,23 +352,46 @@ class TestProperties:
         )
 
 
+class TestAnswerSet:
+    @settings(max_examples=200, deadline=None)
+    @given(_spaces())
+    def test_every_point_answers_its_own_budgets(self, space):
+        """No frontier point is dead: at budgets equal to its own area
+        and power, the exhaustive optimum is that point (flat index
+        and cpi)."""
+        structures, fixed_cpi = space
+        frontier = build_frontier(structures, fixed_cpi)
+        sizes = [s.size for s in structures]
+        exact = exhaustive_best_many(
+            structures, list(zip(*frontier.points[:2])), fixed_cpi
+        )
+        for want, flat, cpi in zip(exact, frontier.flat, frontier.points[2]):
+            assert np.ravel_multi_index(want.choice, sizes) == flat
+            assert want.cpi == cpi
+
+
+def _coarse_space(rng, count, n):
+    """Curves trading area against cpi and power (few points prune
+    away), on a coarse grid of values so totals tie often."""
+    structures = []
+    for s in range(count):
+        areas = np.round(np.sort(rng.uniform(0, 40, n)), 1)
+        cpis = np.round(np.sort(rng.uniform(0, 4, n))[::-1], 2)
+        powers = np.round(rng.uniform(0, 10, n), 1)
+        structures.append(
+            StructureCurve(f"s{s}", areas, cpis, tuple(range(n)), powers)
+        )
+    return structures
+
+
 class TestManyBlocks:
     def test_multiblock_stages_match_exhaustive(self):
-        """Stages spanning many candidate blocks, so later blocks are
-        tested against earlier kept points through the staircase
-        filters and their exact fallback.  Curves trade area against
-        cpi and power (few points prune away), on a coarse grid of
-        values so totals tie often."""
+        """Stages spanning many candidate blocks, so earlier stages
+        test later blocks against kept points through the staircase
+        filters and their exact fallback, and the last stage's answer
+        sweep runs over the union of many blocks' survivors."""
         rng = np.random.default_rng(17)
-        structures = []
-        for s in range(3):
-            n = 24
-            areas = np.round(np.sort(rng.uniform(0, 40, n)), 1)
-            cpis = np.round(np.sort(rng.uniform(0, 4, n))[::-1], 2)
-            powers = np.round(rng.uniform(0, 10, n), 1)
-            structures.append(
-                StructureCurve(f"s{s}", areas, cpis, tuple(range(n)), powers)
-            )
+        structures = _coarse_space(rng, 3, 24)
         frontier = build_frontier(structures, 1.0)
         areas, powers = _totals(structures)
         for i in rng.choice(len(areas), size=150, replace=False):
@@ -373,6 +399,47 @@ class TestManyBlocks:
                 assert_matches_exhaustive(
                     frontier, structures, 1.0, areas[i], power
                 )
+
+    def test_ties_across_last_stage_blocks(self):
+        """Equal (cpi, area) totals in different last-stage blocks: the
+        answer sweep must keep flat order among them.  Checked against
+        exhaustive at achieved totals and their ULP neighbours."""
+        rng = np.random.default_rng(23)
+        structures = _coarse_space(rng, 3, 32)
+        blocks = list(multiopt._candidates(
+            *multiopt._partials(structures[:-1], 0.5), structures[-1]
+        ))
+        assert len(blocks) >= 10
+        first_block = {}
+        straddling = 0
+        for b, (points, _) in enumerate(blocks):
+            for total in set(zip(points[2].tolist(), points[0].tolist())):
+                straddling += first_block.setdefault(total, b) != b
+        assert straddling >= 100
+
+        frontier = build_frontier(structures, 0.5)
+        areas, powers = _totals(structures)
+        budgets = []
+        for i in rng.choice(len(areas), size=60, replace=False):
+            for area in (np.nextafter(areas[i], -np.inf), areas[i],
+                         np.nextafter(areas[i], np.inf)):
+                for power in (None, np.nextafter(powers[i], -np.inf),
+                              powers[i]):
+                    budgets.append((float(area), power))
+        exact = exhaustive_best_many(structures, budgets, 0.5)
+        for (budget, power), want in zip(budgets, exact):
+            if want is None:
+                with pytest.raises(BudgetError):
+                    frontier.best(budget, power)
+            else:
+                assert frontier.best(budget, power) == want
+        # Every frontier point answers its own totals.
+        sizes = [s.size for s in structures]
+        exact = exhaustive_best_many(
+            structures, list(zip(*frontier.points[:2])), 0.5
+        )
+        for want, flat in zip(exact, frontier.flat):
+            assert np.ravel_multi_index(want.choice, sizes) == flat
 
 
 class TestParetoSurface:
