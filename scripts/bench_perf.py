@@ -3,8 +3,9 @@
 Times the four layers the fast path accelerates:
 
 1. The Table 5 cache-miss-ratio grid on a 700k-reference instruction
-   stream — interpreted baseline vs the engine (and each forced engine
-   mode), with a bit-identity check.
+   stream — interpreted baseline vs the stack-distance pass on its
+   native path and with the interpreted fallback forced, with a
+   bit-identity check.
 2. A full StructureCurves measurement (all units for one
    (workload, OS) pair), serial and with ``--jobs 4``.
 3. The zero-copy trace plane: cold generation+publish vs warm memmap
@@ -77,7 +78,7 @@ from repro.core.space import (
     TABLE5_CACHE_CAPACITIES,
     TABLE5_CACHE_LINES,
 )
-from repro.memsim.engine import engine_mode, native_available
+from repro.memsim import _native
 from repro.memsim.multiconfig import (
     cache_miss_ratio_grid,
     cache_miss_ratio_grid_reference,
@@ -101,6 +102,11 @@ def best_of(fn, reps: int = 3) -> tuple[float, object]:
 
 
 def bench_grid(trace) -> dict:
+    """The grid's production paths against the interpreted reference.
+
+    ``native`` is the C loop (when it compiled here); ``python`` is the
+    compiler-less fallback, forced by reporting the kernels unavailable.
+    """
     stream = np.asarray(trace.ifetch_physical(), dtype=np.int64)
     args = (
         stream,
@@ -112,24 +118,27 @@ def bench_grid(trace) -> dict:
     reference = cache_miss_ratio_grid_reference(*args)
     reference_s = time.perf_counter() - t0
 
-    modes = ["auto", "vector", "python"] + (
-        ["native"] if native_available() else []
-    )
     results: dict = {
         "stream": "ifetch",
         "references": int(len(stream)),
         "reference_seconds": round(reference_s, 3),
-        "engines": {},
+        "paths": {},
     }
-    for mode in modes:
-        seconds, grid = best_of(
-            lambda: cache_miss_ratio_grid(*args, engine=mode)
-        )
-        results["engines"][mode] = {
-            "seconds": round(seconds, 4),
-            "speedup": round(reference_s / seconds, 1),
-            "bit_identical": grid == reference,
-        }
+    native_available = _native.available
+    paths = {"python": lambda: False}
+    if native_available():
+        paths = {"native": native_available, **paths}
+    try:
+        for path, available in paths.items():
+            _native.available = available
+            seconds, grid = best_of(lambda: cache_miss_ratio_grid(*args))
+            results["paths"][path] = {
+                "seconds": round(seconds, 4),
+                "speedup": round(reference_s / seconds, 1),
+                "bit_identical": grid == reference,
+            }
+    finally:
+        _native.available = native_available
     return results
 
 
@@ -700,7 +709,6 @@ def bench_write_buffer() -> dict:
     ``simulate_system`` pass per pair at ``BENCH_REFERENCES``, under
     the DECstation 3100 buffer and the measurement warm-up.
     """
-    from repro.memsim import _native
     from repro.memsim.timing import DECSTATION_3100 as config
 
     rng = np.random.default_rng(1)
@@ -868,8 +876,7 @@ def main(argv: list[str] | None = None) -> int:
             "platform": platform.platform(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "default_engine": engine_mode(),
-            "native_kernel": native_available(),
+            "native_kernel": _native.available(),
         },
     }
 
@@ -881,9 +888,9 @@ def main(argv: list[str] | None = None) -> int:
         trace = generate_trace(WORKLOAD, OS_NAME, BENCH_REFERENCES, seed=1)
         print("benchmarking Table 5 grid sweep ...")
         grid = bench_grid(trace)
-        for mode, row in grid["engines"].items():
+        for path, row in grid["paths"].items():
             print(
-                f"  {mode:>7}: {row['seconds']:.3f}s "
+                f"  {path:>7}: {row['seconds']:.3f}s "
                 f"({row['speedup']}x, identical={row['bit_identical']})"
             )
         payload["grid_sweep"] = grid

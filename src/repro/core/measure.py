@@ -367,7 +367,6 @@ _POOL_ENV_KEYS = (
     "REPRO_TRACE_CACHE_MAX",
     "REPRO_CACHE_DIR",
     "REPRO_SCALE",
-    "REPRO_ENGINE",
     "REPRO_STREAM_CHUNK",
     "REPRO_TRACE_COMPRESS",
     "REPRO_TRACE_COMPRESS_LEVEL",

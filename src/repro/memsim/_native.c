@@ -3,49 +3,62 @@
  *
  * Compiled on demand by repro.memsim._native via the system C compiler
  * into one shared library and loaded through ctypes.  The build is
- * optional: without a compiler the stack-depth callers fall back to the
- * NumPy engine and the write buffer to its scalar specification
- * (repro.memsim.write_buffer.WriteBuffer), both bit-identical.
+ * optional: without a compiler the stack-distance pass steps the same
+ * carried stacks in an interpreted loop
+ * (repro.memsim.stackdist.StreamingStackDistance) and the write buffer
+ * its scalar specification (repro.memsim.write_buffer.WriteBuffer),
+ * both bit-identical.
  */
 
 #include <stdint.h>
 
-/* One (stream, set count) pass: for every reference, the LRU stack
- * depth of the referenced id within its set, capped at max_assoc (the
- * value max_assoc means "missed at every associativity up to the
- * cap").  Semantics match the Python reference loop in
- * repro.memsim.engine exactly: a depth-0 re-reference leaves the stack
- * untouched, deeper hits move the id to the front, misses push the id
- * and drop the least recently used entry.
+/* Step one (stream, set count) pass over n references: for every
+ * reference, the LRU stack depth of the referenced id within its set,
+ * capped at max_assoc (the value max_assoc means "missed at every
+ * associativity up to the cap").  Semantics match the interpreted loop
+ * in repro.memsim.stackdist exactly: a depth-0 re-reference leaves the
+ * stack untouched, deeper hits move the id to the front, misses push
+ * the id and drop the least recently used entry.
  *
  * ids: n nonnegative identifiers (time order).
  * set_mask: n_sets - 1 (n_sets a power of two).
- * stacks: scratch of n_sets * max_assoc entries, initialised to -1.
+ * stacks: n_sets * max_assoc ids carried between calls, each set's
+ *   stack MRU first, -1 marking an empty slot.
  * out: n int16 depths in [0, max_assoc].
+ * hist: max_assoc + 1 counts; the depth of every reference at index
+ *   >= count_from is added in.
+ * flags, flag_hist: when flags is not NULL, the counted references
+ *   with a nonzero flag are also added into flag_hist.
  */
 void repro_lru_depths(const int64_t *ids, int64_t n, int64_t set_mask,
-                      int32_t max_assoc, int64_t *stacks, int16_t *out)
+                      int32_t max_assoc, int64_t *stacks, int16_t *out,
+                      int64_t count_from, int64_t *hist,
+                      const uint8_t *flags, int64_t *flag_hist)
 {
     for (int64_t i = 0; i < n; i++) {
         int64_t id = ids[i];
         int64_t *stack = stacks + (id & set_mask) * (int64_t)max_assoc;
         int64_t shifted = stack[0];
-        if (shifted == id) {
-            out[i] = 0;
-            continue;
-        }
-        int32_t depth = max_assoc;
-        stack[0] = id;
-        for (int32_t k = 1; k < max_assoc; k++) {
-            int64_t cur = stack[k];
-            stack[k] = shifted;
-            if (cur == id) {
-                depth = k;
-                break;
+        int32_t depth = 0;
+        if (shifted != id) {
+            depth = max_assoc;
+            stack[0] = id;
+            for (int32_t k = 1; k < max_assoc; k++) {
+                int64_t cur = stack[k];
+                stack[k] = shifted;
+                if (cur == id) {
+                    depth = k;
+                    break;
+                }
+                shifted = cur;
             }
-            shifted = cur;
         }
         out[i] = (int16_t)depth;
+        if (i >= count_from) {
+            hist[depth]++;
+            if (flags != 0 && flags[i])
+                flag_hist[depth]++;
+        }
     }
 }
 

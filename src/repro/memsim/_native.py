@@ -1,13 +1,16 @@
 """On-demand build and loading of the C simulation kernels.
 
 ``_native.c`` holds two short C loops: the capped LRU stack-depth pass
-behind the ``native`` engine mode, and the write buffer's stall loop.
-On machines with a C compiler both are built once, into one shared
-library in a per-user cache directory, and loaded through
-:mod:`ctypes`.  Everything here is best-effort: any failure (no
-compiler, read-only filesystem, sandboxed exec) simply reports the
-kernels as unavailable, and the NumPy engine and the scalar
-write-buffer loop take over.  No third-party packages are involved.
+and the write buffer's stall loop.  Each steps state its Python owner
+carries between calls (the per-set stacks of a
+:class:`~repro.memsim.stackdist.StreamingStackDistance`, the ring of a
+:class:`~repro.memsim.write_buffer.StreamingWriteBuffer`).  On machines
+with a C compiler both are built once, into one shared library in a
+per-user cache directory, and loaded through :mod:`ctypes`.
+Everything here is best-effort: any failure (no compiler, read-only
+filesystem, sandboxed exec) simply reports the kernels as unavailable,
+and the owners step the same state in their interpreted loops.  No
+third-party packages are involved.
 
 Environment knobs:
 
@@ -104,8 +107,12 @@ def _load() -> ctypes.CDLL | None:
             ctypes.c_int64,  # n
             ctypes.c_int64,  # set_mask
             ctypes.c_int32,  # max_assoc
-            ctypes.c_void_p,  # stacks scratch
+            ctypes.c_void_p,  # stacks
             ctypes.c_void_p,  # out
+            ctypes.c_int64,  # count_from
+            ctypes.c_void_p,  # hist
+            ctypes.c_void_p,  # flags (may be NULL)
+            ctypes.c_void_p,  # flag_hist
         ]
         fn = lib.repro_write_buffer
         fn.restype = ctypes.c_int64
@@ -142,22 +149,55 @@ def _require() -> ctypes.CDLL:
     return lib
 
 
-def pass_depths(
-    ids: np.ndarray, n_sets: int, max_assoc: int, out: np.ndarray
+def _check_int64(name: str, array: np.ndarray, size: int) -> None:
+    if array.dtype != np.int64 or not array.flags.c_contiguous or array.size != size:
+        raise ValueError(f"{name} must be a contiguous int64 array of {size}")
+
+
+def lru_depths(
+    ids: np.ndarray,
+    stacks: np.ndarray,
+    out: np.ndarray,
+    count_from: int,
+    hist: np.ndarray,
+    flags: np.ndarray | None = None,
+    flag_hist: np.ndarray | None = None,
 ) -> None:
-    """Run one (stream, set count) pass through the C kernel."""
+    """Step one (stream, set count) pass through the C LRU loop.
+
+    ``stacks`` is the ``(n_sets, max_assoc)`` int64 array the pass
+    carries between calls (each set's stack MRU first, -1 for an empty
+    slot), updated in place.  ``out`` receives every reference's int16
+    depth; the depths of references at index ``>= count_from`` are
+    added into ``hist`` (``max_assoc + 1`` counts), and into
+    ``flag_hist`` too for those whose ``flags`` entry is set.
+    """
     lib = _require()
     ids = np.ascontiguousarray(ids, dtype=np.int64)
-    if out.dtype != np.int16 or not out.flags.c_contiguous:
-        raise ValueError("out must be a contiguous int16 array")
-    scratch = np.full(n_sets * max_assoc, -1, dtype=np.int64)
+    n_sets, max_assoc = stacks.shape
+    _check_int64("stacks", stacks, n_sets * max_assoc)
+    _check_int64("hist", hist, max_assoc + 1)
+    if out.dtype != np.int16 or not out.flags.c_contiguous or out.size != ids.size:
+        raise ValueError("out must be a contiguous int16 array, one per id")
+    flags_ptr = flag_hist_ptr = None
+    if flags is not None:
+        flags = np.ascontiguousarray(flags, dtype=np.bool_)
+        if flags.size != ids.size:
+            raise ValueError("flags must hold one entry per id")
+        _check_int64("flag_hist", flag_hist, max_assoc + 1)
+        flags_ptr = flags.ctypes.data
+        flag_hist_ptr = flag_hist.ctypes.data
     lib.repro_lru_depths(
         ids.ctypes.data,
-        len(ids),
+        ids.size,
         n_sets - 1,
         max_assoc,
-        scratch.ctypes.data,
+        stacks.ctypes.data,
         out.ctypes.data,
+        count_from,
+        hist.ctypes.data,
+        flags_ptr,
+        flag_hist_ptr,
     )
 
 

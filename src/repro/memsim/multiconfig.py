@@ -7,13 +7,13 @@ property so each (line size, set count) pair costs a single pass
 Figures 7-10 and the Table 6/7 allocation sweep.
 
 The grid consumes its stream in chunks (a materialized stream is one
-chunk) and batches each chunk's passes through
-:func:`repro.memsim.engine.multi_group_depths`, grouped by the deepest
-associativity each set count actually needs — the largest set counts
-are only ever direct-mapped or 2-way in Table 5, and those caps have
-closed-form vectorized answers.  The original interpreted sweep
-remains as :func:`cache_miss_ratio_grid_reference` and is held
-bit-identical by the differential test suite.
+chunk) and feeds each chunk to one
+:class:`~repro.memsim.stackdist.StreamingStackDistance` per (line
+size, set count), capped at the deepest associativity that set count
+actually needs — the largest set counts are only ever direct-mapped or
+2-way in Table 5.  The original interpreted sweep remains as
+:func:`cache_miss_ratio_grid_reference` and is held bit-identical by
+the differential test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.memsim.stackdist import StreamingStackDistance, feed_together
+from repro.memsim.stackdist import StreamingStackDistance
 from repro.units import WORD_BYTES, log2i
 
 
@@ -91,7 +91,6 @@ def cache_miss_ratio_grid(
     line_words_list: list[int],
     assocs: list[int],
     warmup_fraction: float = 0.0,
-    engine: str | None = None,
 ) -> dict[tuple[int, int, int], float]:
     """Miss ratios for every (capacity, line_words, assoc) combination.
 
@@ -106,7 +105,6 @@ def cache_miss_ratio_grid(
         line_words_list,
         assocs,
         warmup_fraction=warmup_fraction,
-        engine=engine,
     )
 
 
@@ -117,7 +115,6 @@ def cache_miss_ratio_grid_chunked(
     line_words_list: list[int],
     assocs: list[int],
     warmup_fraction: float = 0.0,
-    engine: str | None = None,
 ) -> dict[tuple[int, int, int], float]:
     """Miss ratios for every (capacity, line_words, assoc) combination.
 
@@ -131,8 +128,7 @@ def cache_miss_ratio_grid_chunked(
     same line are dropped before simulation (guaranteed hits; the last
     id is carried across chunk boundaries), and each (line size, set
     count) pass carries its stack state exactly between chunks, so
-    results do not depend on how the stream is chunked.  Each chunk's
-    passes go through the engine one call per depth cap.
+    results do not depend on how the stream is chunked.
 
     Returns:
         Mapping ``(capacity_bytes, line_words, assoc) -> miss ratio``;
@@ -158,7 +154,7 @@ def cache_miss_ratio_grid_chunked(
         per_line[line_words] = {
             "depth_needed": depth_needed,
             "sims": {
-                n_sets: StreamingStackDistance(n_sets, cap, engine=engine)
+                n_sets: StreamingStackDistance(n_sets, cap)
                 for n_sets, cap in depth_needed.items()
             },
             "last_id": None,
@@ -173,7 +169,6 @@ def cache_miss_ratio_grid_chunked(
         start = consumed
         consumed += len(chunk)
         raw_count_from = min(max(warm - start, 0), len(chunk))
-        feeds = []
         for line_words, state in per_line.items():
             ids = line_ids_for(chunk, line_words)
             keep = np.empty(len(ids), dtype=bool)
@@ -183,11 +178,8 @@ def cache_miss_ratio_grid_chunked(
             deduped_count_from = int(keep[:raw_count_from].sum())
             state["deduped_counted"] += len(deduped) - deduped_count_from
             state["last_id"] = int(ids[-1])
-            feeds += [
-                (sim, deduped, None, deduped_count_from)
-                for sim in state["sims"].values()
-            ]
-        feed_together(feeds)
+            for sim in state["sims"].values():
+                sim.feed(deduped, count_from=deduped_count_from)
     if consumed != total:
         raise ValueError(
             f"chunks supplied {consumed} references, expected {total}"

@@ -10,7 +10,7 @@ the characterization so queries never re-simulate:
   by the SHA-256 of its bytes.  Identical measurements deduplicate to
   one object no matter how many keys point at them.
 * ``keys/<keyhash>.json`` — a small manifest mapping a logical
-  :class:`StoreKey` (suite, OS, scale, engine, seed) to its object,
+  :class:`StoreKey` (suite, OS, scale, seed) to its object,
   carrying the schema version and the payload's integrity hash.
 
 Payloads are pickled *plain* Python structures (dicts/lists/numbers
@@ -32,7 +32,7 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.measure import BenefitCurves, StructureCurves, scale
@@ -79,13 +79,6 @@ def default_store_root() -> Path:
     return Path(os.environ.get("REPRO_STORE_DIR", ".repro-store"))
 
 
-def current_engine() -> str:
-    """The stack-distance engine mode curves are measured with."""
-    from repro.memsim.engine import engine_mode
-
-    return engine_mode()
-
-
 @dataclass(frozen=True)
 class StoreKey:
     """Logical identity of one curve set: what was measured and how."""
@@ -93,8 +86,12 @@ class StoreKey:
     os_name: str
     suite: tuple[str, ...]
     scale: float
-    engine: str
     seed: int = 1
+    # Fields of a manifest written by an older build that this build no
+    # longer reads (e.g. the stack-distance ``engine`` mode, which never
+    # changed a curve), as sorted (name, value) pairs.  They still take
+    # part in the key's hash, which names the manifest file.
+    legacy: tuple = field(default=(), compare=False, repr=False)
 
     @classmethod
     def current(
@@ -112,17 +109,16 @@ class StoreKey:
             os_name=os_name,
             suite=tuple(suite),
             scale=scale(),
-            engine=current_engine(),
             seed=seed,
         )
 
     def canonical(self) -> dict:
         """JSON-stable form used for hashing and manifests."""
         return {
+            **dict(self.legacy),
             "os_name": self.os_name,
             "suite": list(self.suite),
             "scale": self.scale,
-            "engine": self.engine,
             "seed": self.seed,
         }
 
@@ -132,12 +128,15 @@ class StoreKey:
 
     @classmethod
     def from_canonical(cls, data: dict) -> "StoreKey":
+        known = ("os_name", "suite", "scale", "seed")
         return cls(
             os_name=data["os_name"],
             suite=tuple(data["suite"]),
             scale=float(data["scale"]),
-            engine=data["engine"],
             seed=int(data["seed"]),
+            legacy=tuple(
+                sorted((k, v) for k, v in data.items() if k not in known)
+            ),
         )
 
 
@@ -394,9 +393,11 @@ class CurveStore:
 
         Prefers the exact full-suite key the process would measure
         right now; otherwise any entry for the same OS measured at the
-        current scale/engine/seed (e.g. a reduced-suite store) — a
-        different scale or engine never matches, so stale stores fall
-        back to remeasurement instead of silently serving wrong curves.
+        current scale and seed (e.g. a reduced-suite store, or one
+        written by an older build that recorded its stack-distance
+        engine) — a different scale never matches, so stale stores
+        fall back to remeasurement instead of silently serving wrong
+        curves.
         """
         key = StoreKey.current(os_name, seed=seed)
         if self.has(key):
@@ -409,7 +410,6 @@ class CurveStore:
             if (
                 candidate.os_name == os_name
                 and candidate.scale == key.scale
-                and candidate.engine == key.engine
                 and candidate.seed == seed
             ):
                 return candidate

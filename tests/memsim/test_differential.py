@@ -1,21 +1,25 @@
-"""Differential tests: fast engine vs the per-access reference simulators.
+"""Differential tests: the stack-distance pass vs the reference simulators.
 
-The fast paths (native C kernel, vectorized NumPy, batched grid) must
-be *bit-identical* to the readable per-access simulators in
-:mod:`repro.memsim.cache` and :mod:`repro.memsim.tlb` and to the
-interpreted ``*_reference`` twins they replaced.  These tests sweep
-randomized traces through both and compare exact miss counts — no
-tolerances anywhere.
+:class:`~repro.memsim.stackdist.StreamingStackDistance` steps its
+carried stacks in the C loop, or in an interpreted per-set loop when
+the C kernels are unavailable.  The path the pass picks on its own and
+each path forced — the fallback by making ``_native`` report the
+kernels unavailable — must be *bit-identical* to the readable
+per-access simulators in :mod:`repro.memsim.cache` and
+:mod:`repro.memsim.tlb` and to the interpreted ``*_reference`` twins.
+These tests sweep randomized traces through every path and compare
+exact miss counts — no tolerances anywhere.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from repro.memsim import engine as engine_mod
+from repro.memsim import _native
 from repro.memsim.cache import Cache
-from repro.memsim.engine import lru_depths, multi_group_depths, native_available
 from repro.memsim.multiconfig import (
     cache_miss_ratio_grid,
     cache_miss_ratio_grid_reference,
@@ -33,9 +37,41 @@ from repro.memsim.stackdist import (
 from repro.memsim.tlb import Tlb
 from repro.units import VPN_BITS, WORD_BYTES
 
-ENGINES = ["auto", "vector", "python"] + (
-    ["native"] if native_available() else []
-)
+PATHS = ["auto"] + (["native"] if _native.available() else []) + ["python"]
+
+
+def _no_fallback(self, ids, depths):
+    raise AssertionError("the interpreted fallback ran on the native path")
+
+
+@contextlib.contextmanager
+def on_path(path):
+    """Run the body on ``path``: ``auto`` leaves the choice to the
+    pass (the C loop when it builds), ``native`` fails if the
+    interpreted fallback runs, and ``python`` forces the fallback by
+    making ``_native`` report the kernels unavailable."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "native":
+            patch.setattr(StreamingStackDistance, "_feed_scalar", _no_fallback)
+        elif path == "python":
+            patch.setattr(_native, "available", lambda: False)
+        yield
+
+
+def reference_depths(ids, n_sets, max_assoc):
+    """Capped LRU stack depth of every reference, one ref at a time."""
+    stacks: dict[int, list[int]] = {}
+    depths = []
+    for ref in np.asarray(ids).tolist():
+        stack = stacks.setdefault(ref & (n_sets - 1), [])
+        depth = stack.index(ref) if ref in stack else max_assoc
+        if depth < max_assoc:
+            del stack[depth]
+        stack.insert(0, ref)
+        del stack[max_assoc:]
+        depths.append(depth)
+    return np.asarray(depths)
+
 
 # 24 cache geometries spanning the interesting shapes: direct-mapped to
 # 8-way, 1- to 16-word lines, tiny caches (heavy conflict) to ones
@@ -70,16 +106,16 @@ def synthetic_addresses(rng: np.random.Generator, n: int = 5000) -> np.ndarray:
     return words.astype(np.int64) * WORD_BYTES
 
 
-def miss_split(ids, n_sets, max_assoc, flags, count_from=0, engine=None):
+def miss_split(ids, n_sets, max_assoc, flags, count_from=0):
     """(misses, flagged misses) per associativity from one flagged pass."""
-    sim = StreamingStackDistance(n_sets, max_assoc, engine=engine, track_flags=True)
+    sim = StreamingStackDistance(n_sets, max_assoc, track_flags=True)
     sim.feed(ids, flags, count_from=count_from)
     return sim.miss_counts(), sim.flagged_miss_counts()
 
 
-def fa_miss_split(ids, sizes, flags, count_from=0, engine=None):
+def fa_miss_split(ids, sizes, flags, count_from=0):
     """Fully-associative (misses, flagged misses) aligned with ``sizes``."""
-    misses, flagged = miss_split(ids, 1, max(sizes), flags, count_from, engine)
+    misses, flagged = miss_split(ids, 1, max(sizes), flags, count_from)
     index = np.asarray(sizes) - 1
     return misses[index], flagged[index]
 
@@ -104,23 +140,19 @@ class TestGridVsCacheSimulator:
         got = grid[(capacity, line_words, assoc)] * len(trace_addresses)
         assert round(got) == sim.result.misses
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_grid_engines_match_reference_grid(self, trace_addresses, engine):
-        """All engine modes reproduce the interpreted grid bit-for-bit."""
+    @pytest.mark.parametrize("path", PATHS)
+    def test_grid_engines_match_reference_grid(self, trace_addresses, path):
+        """Every path reproduces the interpreted grid bit-for-bit."""
         capacities = [512, 2048, 8192]
         lines = [4, 8]
         assocs = [1, 2, 4]
         ref = cache_miss_ratio_grid_reference(
             trace_addresses, capacities, lines, assocs, warmup_fraction=0.3
         )
-        fast = cache_miss_ratio_grid(
-            trace_addresses,
-            capacities,
-            lines,
-            assocs,
-            warmup_fraction=0.3,
-            engine=engine,
-        )
+        with on_path(path):
+            fast = cache_miss_ratio_grid(
+                trace_addresses, capacities, lines, assocs, warmup_fraction=0.3
+            )
         assert fast == ref
 
     def test_miss_flags_match_cache_flags(self, trace_addresses):
@@ -136,51 +168,69 @@ class TestGridVsCacheSimulator:
 
 
 class TestEngineModesAgree:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("n_sets,max_assoc", [(1, 8), (16, 4), (256, 8), (1024, 1), (64, 2)])
-    def test_depths_match_python(self, rng, engine, n_sets, max_assoc):
+    def test_depths_match_python(self, rng, path, n_sets, max_assoc):
         ids = rng.integers(0, 4096, size=6000).astype(np.int64)
-        expected = lru_depths(ids, n_sets, max_assoc, engine="python")
-        got = lru_depths(ids, n_sets, max_assoc, engine=engine)
-        np.testing.assert_array_equal(got, expected)
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_multi_group_consistency(self, rng, engine):
-        """Batched passes equal one-at-a-time passes for every group."""
-        streams = [
-            rng.integers(0, 2000, size=4000).astype(np.int64),
-            rng.integers(0, 500, size=3000).astype(np.int64),
-        ]
-        groups = [(streams[0], [4, 64]), (streams[1], [1, 256])]
-        batched = multi_group_depths(groups, 8, engine=engine)
-        for (ids, set_counts), result in zip(groups, batched):
-            assert sorted(result) == sorted(set_counts)
-            for n_sets in set_counts:
-                np.testing.assert_array_equal(
-                    result[n_sets], lru_depths(ids, n_sets, 8, engine="python")
-                )
-
-    def test_vector_engine_exercised_below_threshold(self, rng):
-        """engine='vector' must run the vectorized path even on small
-        inputs (where 'auto' would pick the interpreted loop)."""
-        ids = rng.integers(0, 64, size=200).astype(np.int64)
-        assert len(ids) < engine_mod._VECTOR_MIN_UNITS
+        with on_path(path):
+            got = StreamingStackDistance(n_sets, max_assoc).feed(ids)
         np.testing.assert_array_equal(
-            lru_depths(ids, 4, 4, engine="vector"),
-            lru_depths(ids, 4, 4, engine="python"),
+            got, reference_depths(ids, n_sets, max_assoc)
         )
 
     def test_stackdist_reference_twins(self, rng):
         ids = rng.integers(0, 300, size=4000).astype(np.int64)
-        for engine in ENGINES:
+        for path in PATHS:
+            with on_path(path):
+                hits = set_associative_hit_counts(ids, 16, 8, count_from=100)
+                curve = fully_associative_miss_curve(
+                    ids, [4, 16, 64], count_from=100
+                )
             np.testing.assert_array_equal(
-                set_associative_hit_counts(ids, 16, 8, count_from=100, engine=engine),
+                hits,
                 set_associative_hit_counts_reference(ids, 16, 8, count_from=100),
             )
             np.testing.assert_array_equal(
-                fully_associative_miss_curve(ids, [4, 16, 64], count_from=100, engine=engine),
-                fully_associative_miss_curve_reference(ids, [4, 16, 64], count_from=100),
+                curve,
+                fully_associative_miss_curve_reference(
+                    ids, [4, 16, 64], count_from=100
+                ),
             )
+
+    @pytest.mark.skipif(not _native.available(), reason="no C kernels")
+    @pytest.mark.parametrize("n_sets,max_assoc", [(1, 16), (8, 4), (64, 1)])
+    def test_paths_alternate_chunk_by_chunk(
+        self, rng, monkeypatch, n_sets, max_assoc
+    ):
+        """The carried stacks pass between the native and the fallback
+        path at every chunk boundary, and the result matches one feed."""
+        ids = rng.integers(0, 500, size=9000).astype(np.int64)
+        flags = rng.random(9000) < 0.3
+        whole = StreamingStackDistance(n_sets, max_assoc, track_flags=True)
+        whole_depths = whole.feed(ids, flags, count_from=1500)
+        sim = StreamingStackDistance(n_sets, max_assoc, track_flags=True)
+        native_available = _native.available
+        depths = []
+        for index, start in enumerate(range(0, len(ids), 700)):
+            monkeypatch.setattr(
+                _native,
+                "available",
+                native_available if index % 2 else (lambda: False),
+            )
+            stop = start + 700
+            depths.append(
+                sim.feed(
+                    ids[start:stop],
+                    flags[start:stop],
+                    count_from=max(1500 - start, 0),
+                )
+            )
+        np.testing.assert_array_equal(np.concatenate(depths), whole_depths)
+        np.testing.assert_array_equal(sim.miss_counts(), whole.miss_counts())
+        np.testing.assert_array_equal(
+            sim.flagged_miss_counts(), whole.flagged_miss_counts()
+        )
+        assert sim.export_stacks() == whole.export_stacks()
 
 
 class TestTlbDifferential:
@@ -222,19 +272,18 @@ class TestTlbDifferential:
     def test_split_reference_twins(self, tlb_stream):
         vpns, asids, kernel = tlb_stream
         ids = (asids << VPN_BITS) | vpns
-        for engine in ENGINES:
-            fast = miss_split(ids, 16, 4, kernel, count_from=500, engine=engine)
-            ref = set_associative_miss_split_reference(
-                ids, 16, 4, kernel, count_from=500
-            )
+        ref = set_associative_miss_split_reference(
+            ids, 16, 4, kernel, count_from=500
+        )
+        ref_fa = fully_associative_miss_split_reference(
+            ids, [8, 32], kernel, count_from=500
+        )
+        for path in PATHS:
+            with on_path(path):
+                fast = miss_split(ids, 16, 4, kernel, count_from=500)
+                fast_fa = fa_miss_split(ids, [8, 32], kernel, count_from=500)
             np.testing.assert_array_equal(fast[0], ref[0])
             np.testing.assert_array_equal(fast[1], ref[1])
-            fast_fa = fa_miss_split(
-                ids, [8, 32], kernel, count_from=500, engine=engine
-            )
-            ref_fa = fully_associative_miss_split_reference(
-                ids, [8, 32], kernel, count_from=500
-            )
             np.testing.assert_array_equal(fast_fa[0], ref_fa[0])
             np.testing.assert_array_equal(fast_fa[1], ref_fa[1])
 
@@ -243,8 +292,8 @@ class TestRandomizedSweep:
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(6))
     def test_random_traces_all_engines(self, seed):
-        """Randomized end-to-end sweep: every engine, every geometry
-        class (closed-form caps 1 and 2 included), exact equality."""
+        """Randomized end-to-end sweep on every path, every geometry
+        class (caps 1 and 2 included), exact equality."""
         rng = np.random.default_rng(seed)
         addresses = synthetic_addresses(rng, n=3000)
         capacities = [256, 1024, 4096]
@@ -253,9 +302,9 @@ class TestRandomizedSweep:
         ref = cache_miss_ratio_grid_reference(
             addresses, capacities, lines, assocs, warmup_fraction=0.25
         )
-        for engine in ENGINES:
-            fast = cache_miss_ratio_grid(
-                addresses, capacities, lines, assocs,
-                warmup_fraction=0.25, engine=engine,
-            )
-            assert fast == ref, f"engine={engine} diverged"
+        for path in PATHS:
+            with on_path(path):
+                fast = cache_miss_ratio_grid(
+                    addresses, capacities, lines, assocs, warmup_fraction=0.25
+                )
+            assert fast == ref, f"{path} path diverged"

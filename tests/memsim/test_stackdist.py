@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memsim.cache import Cache
 from repro.memsim.stackdist import (
+    MAX_DEPTH_CAP,
     StreamingStackDistance,
     compulsory_miss_count,
     fully_associative_miss_curve,
+    fully_associative_miss_curve_reference,
     set_associative_hit_counts,
 )
 
@@ -37,6 +39,11 @@ class TestSetAssociativeHitCounts:
             set_associative_hit_counts(np.array([1]), 3, 2)
         with pytest.raises(ValueError):
             set_associative_hit_counts(np.array([1]), 4, 0)
+
+    def test_rejects_negative_ids(self):
+        """-1 marks an empty stack slot, so it can never be an id."""
+        with pytest.raises(ValueError, match="nonnegative"):
+            StreamingStackDistance(4, 2).feed(np.array([3, -1]))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -90,6 +97,20 @@ class TestFullyAssociativeCurve:
         sizes = [8, 16, 32, 64, 128]
         misses = fully_associative_miss_curve(ids, sizes)
         assert all(misses[i] >= misses[i + 1] for i in range(len(sizes) - 1))
+
+    def test_depth_cap_fits_int16(self):
+        """Depths are int16: the deepest cap is counted exactly, and a
+        deeper one is refused instead of wrapping every miss's depth."""
+        ids = np.arange(300) % 70
+        assert MAX_DEPTH_CAP == 32767
+        np.testing.assert_array_equal(
+            fully_associative_miss_curve(ids, [50, MAX_DEPTH_CAP]),
+            fully_associative_miss_curve_reference(ids, [50, MAX_DEPTH_CAP]),
+        )
+        with pytest.raises(ValueError, match="max_assoc"):
+            StreamingStackDistance(1, MAX_DEPTH_CAP + 1)
+        with pytest.raises(ValueError, match="max_assoc"):
+            fully_associative_miss_curve(np.arange(50_000), [40_000])
 
     def test_huge_structure_only_compulsory_misses(self):
         ids = np.array([1, 2, 3, 1, 2, 3, 4])

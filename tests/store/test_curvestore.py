@@ -1,5 +1,6 @@
 """Tests for the versioned, content-addressed curve store."""
 
+import hashlib
 import json
 
 import pytest
@@ -192,6 +193,21 @@ class TestFindCurrent:
         store.build(curves, key)
         found = store.find_current("mach")
         assert found == key
+        assert store.load(found) == curves
+
+    def test_manifest_naming_an_engine_still_served(self, tmp_path, curves, key):
+        """Manifests from builds that recorded the stack-distance engine
+        mode in the key (and hashed it into the file name) still load."""
+        store = CurveStore(tmp_path / "store")
+        manifest = store.build(curves, key)
+        (store.root / "keys" / f"{key.hash()}.json").unlink()
+        manifest["key"] = {**manifest["key"], "engine": "auto"}
+        text = json.dumps(manifest["key"], sort_keys=True, separators=(",", ":"))
+        old_name = hashlib.sha256(text.encode()).hexdigest()[:24]
+        (store.root / "keys" / f"{old_name}.json").write_text(json.dumps(manifest))
+        found = store.find_current("mach")
+        assert found == key
+        assert found.hash() == old_name
         assert store.load(found) == curves
 
     def test_other_os_not_served(self, tmp_path, curves, key):
