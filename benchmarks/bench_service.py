@@ -13,10 +13,11 @@ actually interactive.  This bench builds a reduced-scale store once
 * **threaded** — the same warm mix fired from 8 threads at once
   against one shared engine, the shape the HTTP server produces; the
   locked cache must not lose throughput or answers under contention.
-* **batch vs point** — a 256-budget sweep answered by the vectorized
-  budget index in one pass, against the same sweep as 256 separate
-  ``rank_priced`` rankings (the pre-index engine's per-point path);
-  the answers are required to match exactly.
+* **batch vs point** — a 256-budget sweep answered by ``best_many``
+  in one pass over the priced space's answer set, against the same
+  sweep as 256 separate reference-predicate mask rankings (the
+  pre-index engine's per-point path, kept here as ``_rank_mask``); the
+  answers are required to match exactly.
 * **HTTP workers** — sustained keep-alive POST throughput over
   loopback against pre-fork fleets.  Worker counts are capped at the
   host's CPU count: benchmarking 4 workers on 1 core measures fork
@@ -74,8 +75,8 @@ except ImportError:  # standalone invocation from another cwd
 from repro.core.allocator import (
     DEFAULT_BUDGET_RBES,
     Allocator,
-    batch_best_indexed,
-    rank_priced,
+    allocations_from_flat,
+    best_many,
 )
 from repro.errors import BudgetError
 from repro.fleet.local import FleetSupervisor
@@ -234,11 +235,33 @@ def bench_threaded(root: Path) -> dict:
     return result
 
 
+def _rank_mask(priced, budget_rbes: float, limit: int | None = None) -> list:
+    """The per-budget ranking the engine ran before budget indexing: the
+    reference predicate as a 3-D broadcast mask, filtered through the
+    rank order.
+
+    Raises:
+        BudgetError: if no combination fits the budget.
+    """
+    t_area, i_area, d_area = priced.t_area, priced.i_area, priced.d_area
+    budget_left = budget_rbes - t_area[:, None] - i_area[None, :]
+    feasible_mask = (budget_left[:, :, None] >= 0) & (
+        d_area[None, None, :] <= budget_left[:, :, None]
+    )
+    order_all = priced.sorted_order
+    ranked = order_all[feasible_mask.ravel()[order_all]]
+    if ranked.size == 0:
+        raise BudgetError(f"no configuration fits within {budget_rbes} rbes")
+    if limit is not None:
+        ranked = ranked[:limit]
+    return allocations_from_flat(priced, ranked)
+
+
 def bench_batch_vs_point(root: Path) -> dict:
     """One vectorized 256-budget batch vs 256 per-point rankings.
 
-    The per-point baseline is :func:`rank_priced` — the kernel the
-    engine used for every point before the budget index — so the ratio
+    The per-point baseline is :func:`_rank_mask` — the kernel the
+    engine used for every point before budget indexing — so the ratio
     is the real algorithmic win, and the two answer sets must match
     exactly (infeasible budgets map to empty lists both ways).
     """
@@ -250,22 +273,22 @@ def bench_batch_vs_point(root: Path) -> dict:
         BATCH_BUDGETS,
     ).tolist()
 
-    # The index is built once per priced space and amortized over every
-    # query the server ever answers; time it separately, not inside the
-    # per-batch window.
+    # The rank order, thresholds and answer set are built once per
+    # priced space and amortized over every query the server ever
+    # answers; time them separately, not inside the per-batch window.
     t0 = time.perf_counter()
-    priced.budget_index
+    priced.best_ranks  # builds sorted_order and thresholds on the way
     index_build_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    batched = batch_best_indexed(priced, budgets)
+    batched = best_many(priced, budgets)
     batch_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     per_point = []
     for budget in budgets:
         try:
-            per_point.append(rank_priced(priced, budget, limit=1))
+            per_point.append(_rank_mask(priced, budget, limit=1))
         except BudgetError:
             per_point.append([])
     loop_s = time.perf_counter() - t0
@@ -653,9 +676,12 @@ def run_bench(root: Path | None = None) -> dict:
     overload = bench_overload_shedding(root)
     fleet = bench_fleet(root)
 
-    # The service must agree with the brute-force path bit-for-bit.
+    # The service must agree with the interpreted triple loop
+    # bit-for-bit.
     curves = store.load(store.find_current(OS_NAME))
-    direct = Allocator(curves, budget_rbes=DEFAULT_BUDGET_RBES).rank(limit=10)
+    direct = Allocator(
+        curves, budget_rbes=DEFAULT_BUDGET_RBES
+    )._rank_reference(limit=10)
     identical = served_top == direct
 
     payload = {

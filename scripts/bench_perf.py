@@ -34,6 +34,10 @@ Usage::
                     trace_compression,alloc_scaling,write_buffer}]
         [--check-scaling] [--sizes N,N,...]
 
+An existing output file is updated, not replaced: the sections that
+ran (and ``machine``) are rewritten, the others are kept, and each
+rewritten section's previous run moves into its ``history`` list.
+
 The streaming sizes default to ``REPRO_BENCH_SIZES`` (comma-separated
 reference counts) when set, so CI points and the 1B-reference run
 share one code path; the streaming rows write compressed entries
@@ -821,6 +825,24 @@ def check_scaling(plane: dict) -> int:
     return 0
 
 
+def merge_sections(previous: dict, payload: dict) -> dict:
+    """``payload`` written over an earlier output file's ``previous``.
+
+    ``machine`` and every section that ran are replaced and every other
+    key is kept, so refreshing one section leaves the rest of the file
+    alone; a replaced section's earlier run is appended to its
+    ``history`` list, keeping the figures a trajectory.
+    """
+    merged = dict(previous)
+    for key, value in payload.items():
+        old = previous.get(key)
+        if key != "machine" and isinstance(old, dict):
+            old = dict(old)
+            value = {**value, "history": [*old.pop("history", []), old]}
+        merged[key] = value
+    return merged
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -991,6 +1013,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         payload["write_buffer"] = wb
 
+    if os.path.exists(args.output):
+        with open(args.output) as handle:
+            payload = merge_sections(json.load(handle), payload)
     with open(args.output, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

@@ -7,9 +7,9 @@ Exercises the whole subsystem the way a user would:
 2. runs a batch of CLI queries (point, batch sweep, pareto) and
    checks their shapes;
 3. performs one HTTP round-trip against a live server;
-4. asserts the service's top-ranked allocation is identical — exact
-   floats — to the direct ``Allocator.rank`` path over the same
-   curves;
+4. asserts the service's top-ranked allocations are identical — exact
+   floats — to the interpreted ``Allocator._rank_reference`` loop over
+   the same curves;
 5. re-serves the store with fault injection armed (corrupted store
    reads, injected latency, dropped connections) and hammers it
    through the retrying client — the chaos lands on the event-loop
@@ -31,7 +31,7 @@ Exercises the whole subsystem the way a user would:
    router + pre-fork shards) with latency/drop faults armed inside the
    shard workers, SIGKILLs one whole shard mid-stream, and requires
    the retrying client to see zero failed and zero wrong answers —
-   every response bit-identical to the direct ``Allocator.rank`` rows
+   every response bit-identical to the ``Allocator._rank_reference`` rows
    — plus per-node labels in the router's merged metrics and no
    unstructured 5xx from the router;
 9. runs the fleet in trace warm-up mode against an isolated,
@@ -529,7 +529,9 @@ def main(argv: list[str] | None = None) -> int:
     print("[4/9] differential check vs direct Allocator path ...", flush=True)
     store = CurveStore(args.store)
     curves = store.load(store.find_current(args.os_name))
-    direct = Allocator(curves, budget_rbes=DEFAULT_BUDGET_RBES).rank(limit=10)
+    direct = Allocator(
+        curves, budget_rbes=DEFAULT_BUDGET_RBES
+    )._rank_reference(limit=10)
     served = point["result"]["allocations"]
     for rank, (got, want) in enumerate(zip(served, direct), start=1):
         if (got["area_rbe"], got["cpi"]) != (want.area_rbe, want.cpi):

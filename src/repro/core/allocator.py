@@ -5,11 +5,14 @@ D-cache combination with the MQF model, keep those under the area
 budget, score each with composed CPI, and rank.
 
 Pricing is independent of the budget, so it is factored into
-:class:`PricedSpace` — per-structure area and CPI arrays plus the
-precomputed cross-product grids — and :func:`rank_priced` answers any
-budget against a priced space without re-pricing.  The query service
-(``repro.service``) keeps priced spaces warm to answer budget sweeps;
-:meth:`Allocator.rank` is the same two steps composed.
+:class:`PricedSpace` — per-structure area and CPI arrays, the
+precomputed cross-product grids, the rank order, and per-entry
+feasibility thresholds — and three functions answer any budget
+against a priced space without re-pricing: :func:`rank_priced`
+(rankings), :func:`best_many` (the best allocation per budget of a
+sweep) and :func:`pareto_priced` (the area-vs-CPI frontier).  The query
+service (``repro.service``) keeps priced spaces warm to answer budget
+sweeps; :meth:`Allocator.rank` is pricing plus :func:`rank_priced`.
 """
 
 from __future__ import annotations
@@ -110,8 +113,13 @@ class PricedSpace:
         return self.area_grid.size
 
     def min_area(self) -> float:
-        """Area of the cheapest combination (the smallest satisfiable
-        budget)."""
+        """Area of the cheapest combination.
+
+        Raises:
+            BudgetError: if the space is empty.
+        """
+        if self.size == 0:
+            raise BudgetError("the priced space is empty; nothing fits")
         return float(self.area_grid.min())
 
     @cached_property
@@ -127,9 +135,29 @@ class PricedSpace:
         return stable_order(self.cpi_grid, self.area_grid)
 
     @cached_property
-    def budget_index(self) -> "BudgetIndex":
-        """The precomputed budget index (built once per priced space)."""
-        return build_budget_index(self)
+    def thresholds(self) -> np.ndarray:
+        """Per-entry feasibility thresholds, in rank (``sorted_order``)
+        order: the smallest float64 budget at which the reference
+        predicate admits the entry.
+
+        The predicate is monotone in the budget (float subtraction is),
+        but its rounding can put the threshold a few ULPs off the
+        entry's ``area_grid`` value, so it is found by a bounded
+        ``nextafter`` walk.  ``thresholds <= B`` is then the reference
+        predicate at ``B`` bit for bit (see the ordering contract).
+        """
+        return _feasibility_thresholds(self)[self.sorted_order]
+
+    @cached_property
+    def best_ranks(self) -> np.ndarray:
+        """The answer set: rank positions whose threshold is a strict
+        running minimum of :attr:`thresholds`.
+
+        The best entry under a budget is the first rank that fits, so an
+        entry is some budget's best iff no earlier rank has a threshold
+        <= its own; thresholds strictly fall along this set.
+        """
+        return _frontier_positions(self.thresholds)
 
     @cached_property
     def power_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,33 +222,85 @@ class PricedSpace:
 
 
 def rank_priced(
-    priced: PricedSpace, budget_rbes: float, limit: int | None = None
+    priced: PricedSpace,
+    budget_rbes: float,
+    limit: int | None = None,
+    power_budget: float | None = None,
 ) -> list[Allocation]:
-    """Rank feasible allocations of a priced space under one budget.
+    """Rank the allocations of a priced space that fit the budget(s).
 
-    Bit-identical to :meth:`Allocator._rank_reference`: the feasibility
-    mask replays the reference loop's ``budget_left`` arithmetic, and
-    the stable lexsort keeps ties on (cpi, area) in flat enumeration
-    order, exactly like ``list.sort`` on the loop-built list.
+    Without a power budget, feasibility is ``thresholds <= budget``:
+    ``limit=1`` searches the answer set (see :func:`best_many`), any
+    other limit filters the rank order.  With a power budget it is the
+    summed-total mask ``area_grid <= budget and power_grid <=
+    power_budget``.  See the ordering contract below.
+
+    Raises:
+        BudgetError: if no combination fits the budget(s).
+    """
+    order = priced.sorted_order
+    if power_budget is not None:
+        feasible = (priced.area_grid <= budget_rbes) & (
+            priced.power_grid <= power_budget
+        )
+        ranked = allocations_from_flat(priced, order[feasible[order]][:limit])
+    elif limit == 1:
+        # best_many's answer-set search, for one scalar budget.
+        ranks = priced.best_ranks[::-1]
+        fitting = int(
+            np.searchsorted(priced.thresholds[ranks], budget_rbes, "right")
+        )
+        ranked = allocations_from_flat(
+            priced, order[ranks[fitting - 1 : fitting]]
+        )
+    else:
+        fits = priced.thresholds <= budget_rbes
+        ranked = allocations_from_flat(priced, order[fits][:limit])
+    if not ranked:
+        raise BudgetError(
+            f"no configuration fits within {budget_rbes} rbes"
+            + (f" and {power_budget} mW" if power_budget is not None else "")
+        )
+    return ranked
+
+
+def best_many(
+    priced: PricedSpace, budgets_rbes: np.ndarray | list[float]
+) -> list[list[Allocation]]:
+    """The best allocation under each budget of a sweep, in one pass;
+    an empty list where nothing fits.
+
+    Thresholds strictly fall along the answer set, so the entries that
+    fit a budget are a suffix of it, and the suffix's head is the best:
+    one ``searchsorted`` over the reversed set counts the suffix.
+    """
+    ranks = priced.best_ranks[::-1]
+    fitting = np.searchsorted(priced.thresholds[ranks], budgets_rbes, "right")
+    best = iter(allocations_from_flat(
+        priced, priced.sorted_order[ranks[fitting[fitting > 0] - 1]]
+    ))
+    return [[next(best)] if count else [] for count in fitting.tolist()]
+
+
+def pareto_priced(
+    priced: PricedSpace, max_budget: float | None = None
+) -> list[Allocation]:
+    """The (area, CPI) Pareto frontier of the entries that fit the budget.
+
+    A running minimum of area over the feasible ranks (all of them
+    without a budget): :func:`~repro.service.engine.pareto_frontier`
+    over :func:`rank_priced`'s full ranking.
 
     Raises:
         BudgetError: if no combination fits the budget.
     """
-    t_area, i_area, d_area = priced.t_area, priced.i_area, priced.d_area
-    budget_left = budget_rbes - t_area[:, None] - i_area[None, :]
-    feasible_mask = (budget_left[:, :, None] >= 0) & (
-        d_area[None, None, :] <= budget_left[:, :, None]
+    budget = np.inf if max_budget is None else max_budget
+    order = priced.sorted_order[priced.thresholds <= budget]
+    if order.size == 0:
+        raise BudgetError(f"no configuration fits within {budget} rbes")
+    return allocations_from_flat(
+        priced, order[_frontier_positions(priced.area_grid[order])]
     )
-    # Filter the once-per-space sorted order by feasibility instead of
-    # lexsorting the feasible subset per budget: same ranking (stable
-    # sort), no per-query sort.
-    order_all = priced.sorted_order
-    ranked = order_all[feasible_mask.ravel()[order_all]]
-    if ranked.size == 0:
-        raise BudgetError(f"no configuration fits within {budget_rbes} rbes")
-    if limit is not None:
-        ranked = ranked[:limit]
-    return allocations_from_flat(priced, ranked)
 
 
 def allocations_from_flat(
@@ -252,52 +332,10 @@ def allocations_from_flat(
     ]
 
 
-@dataclass(frozen=True)
-class BudgetIndex:
-    """Precomputed query structure over one :class:`PricedSpace`.
-
-    The paper's allocation answer is a fixed ranking over a priced
-    space, so every budget query is an index lookup in disguise.  This
-    index precomputes, once per priced space:
-
-    * ``thresholds`` — per flat grid entry, the *exact* smallest
-      float64 budget at which :func:`rank_priced`'s feasibility test
-      (``budget_left = (B - t_area) - i_area; budget_left >= 0 and
-      d_area <= budget_left``) holds.  The test is monotone in ``B``
-      (float subtraction is monotone), but its float rounding means
-      the threshold can sit a few ULPs off the entry's ``area_grid``
-      value — so the threshold is found by a bounded ``nextafter``
-      walk and verified against the reference predicate, making
-      ``thresholds[j] <= B`` *bit-identical* to the reference mask for
-      every float budget, including budgets landing exactly on (or one
-      ULP around) an entry's area.
-    * ``thr_by_rank`` — thresholds permuted into ``sorted_order`` (the
-      (cpi, area, enumeration) total order), so a ranked feasible list
-      is one boolean gather instead of a 3-D broadcast mask.
-    * ``thr_sorted`` / ``best_prefix`` — thresholds ascending plus a
-      running minimum of rank position over that order: the best
-      allocation under budget ``B`` is ``searchsorted`` + one lookup,
-      and a batch of M budgets is answered in a single broadcast pass.
-    * ``frontier_ranks`` — the full-space (area, CPI) Pareto frontier
-      as positions into ``sorted_order``, so unconstrained Pareto
-      queries return a cached slice.
-    """
-
-    thresholds: np.ndarray
-    thr_by_rank: np.ndarray
-    thr_sorted: np.ndarray
-    best_prefix: np.ndarray
-    frontier_ranks: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.thresholds.size
-
-
 _THRESHOLD_WALK_LIMIT = 128
 """ULP-walk bound for threshold search; the rounding error of the
 feasibility arithmetic is a handful of ULPs, so hitting this bound
-means the monotonicity assumption broke and the index must not be
+means the monotonicity assumption broke and the thresholds must not be
 trusted."""
 
 
@@ -313,7 +351,8 @@ def _feasible_at(
 
 
 def _feasibility_thresholds(priced: PricedSpace) -> np.ndarray:
-    """Exact per-entry feasibility thresholds (see :class:`BudgetIndex`).
+    """Exact per-entry feasibility thresholds, in grid order (see
+    :attr:`PricedSpace.thresholds`).
 
     Starts each entry at its ``area_grid`` value, walks up one ULP at a
     time until the reference predicate holds, then walks down while the
@@ -323,14 +362,16 @@ def _feasibility_thresholds(priced: PricedSpace) -> np.ndarray:
     Both walks are bounded; the predicate's rounding error is a few
     ULPs, so the bound is never approached on real spaces.
     """
-    n_i, n_d = len(priced.icache_keys), len(priced.dcache_keys)
+    n_t, n_i, n_d = (
+        len(priced.tlb_keys), len(priced.icache_keys), len(priced.dcache_keys)
+    )
 
     def feasible(budgets: np.ndarray, flat: np.ndarray | None = None):
         """The predicate at ``budgets``: for every entry in grid order,
         or for the entries ``flat``."""
         if flat is None:
             return _feasible_at(
-                budgets.reshape(-1, n_i, n_d),
+                budgets.reshape(n_t, n_i, n_d),
                 priced.t_area[:, None, None],
                 priced.i_area[:, None],
                 priced.d_area,
@@ -352,7 +393,7 @@ def _feasibility_thresholds(priced: PricedSpace) -> np.ndarray:
         pending = pending[~feasible(thresholds[pending], pending)]
     else:
         raise AssertionError(
-            "budget-index threshold search did not converge upward; "
+            "feasibility threshold search did not converge upward; "
             "the feasibility predicate is not behaving monotonically"
         )
 
@@ -366,193 +407,53 @@ def _feasibility_thresholds(priced: PricedSpace) -> np.ndarray:
         pending = pending[feasible(lower, pending)]
     else:
         raise AssertionError(
-            "budget-index threshold search did not converge downward; "
+            "feasibility threshold search did not converge downward; "
             "the feasibility predicate is not behaving monotonically"
         )
     return thresholds
 
 
-def _frontier_positions(areas_by_rank: np.ndarray) -> np.ndarray:
-    """Frontier membership over a (cpi, area)-ranked area sequence.
+def _frontier_positions(values: np.ndarray) -> np.ndarray:
+    """Positions where ``values`` is a strict running minimum.
 
-    Exactly :func:`~repro.service.engine.pareto_frontier`'s scan: a
-    rank position joins iff its area is strictly below every earlier
-    area.  Vectorized as a running minimum.
+    Over a (cpi, area)-ranked area sequence this is exactly
+    :func:`~repro.service.engine.pareto_frontier`'s scan: a rank
+    position joins iff its area is strictly below every earlier area.
     """
-    if areas_by_rank.size == 0:
+    if values.size == 0:
         return np.empty(0, dtype=np.intp)
-    keep = np.empty(areas_by_rank.size, dtype=bool)
+    keep = np.empty(values.size, dtype=bool)
     keep[0] = True
-    keep[1:] = areas_by_rank[1:] < np.minimum.accumulate(areas_by_rank)[:-1]
+    keep[1:] = values[1:] < np.minimum.accumulate(values)[:-1]
     return np.flatnonzero(keep)
-
-
-def build_budget_index(priced: PricedSpace) -> BudgetIndex:
-    """Build the budget index for a priced space (see :class:`BudgetIndex`)."""
-    thresholds = _feasibility_thresholds(priced)
-    order = priced.sorted_order
-    thr_by_rank = thresholds[order]
-    # Rank position per threshold-sorted entry; the best feasible
-    # allocation under B is the smallest rank among entries whose
-    # threshold is <= B, read off a prefix minimum.
-    thr_argsort = stable_order(thresholds)
-    thr_sorted = thresholds[thr_argsort]
-    inv_rank = np.empty(order.size, dtype=np.intp)
-    inv_rank[order] = np.arange(order.size)
-    best_prefix = np.minimum.accumulate(inv_rank[thr_argsort])
-    frontier_ranks = _frontier_positions(priced.area_grid[order])
-    return BudgetIndex(
-        thresholds=thresholds,
-        thr_by_rank=thr_by_rank,
-        thr_sorted=thr_sorted,
-        best_prefix=best_prefix,
-        frontier_ranks=frontier_ranks,
-    )
-
-
-def rank_indexed(
-    priced: PricedSpace, budget_rbes: float, limit: int | None = None
-) -> list[Allocation]:
-    """Index-backed twin of :func:`rank_priced` — bit-identical output.
-
-    ``limit=1`` is ``searchsorted`` + one prefix-minimum lookup;
-    other limits gather the feasible prefix of the precomputed rank
-    order.  Neither path re-sorts or builds the 3-D feasibility mask.
-
-    Raises:
-        BudgetError: if no combination fits the budget.
-    """
-    index = priced.budget_index
-    if limit == 1:
-        position = int(
-            np.searchsorted(index.thr_sorted, budget_rbes, side="right")
-        )
-        if position == 0:
-            raise BudgetError(
-                f"no configuration fits within {budget_rbes} rbes"
-            )
-        ranks = index.best_prefix[position - 1 : position]
-    else:
-        ranks = np.flatnonzero(index.thr_by_rank <= budget_rbes)
-        if ranks.size == 0:
-            raise BudgetError(
-                f"no configuration fits within {budget_rbes} rbes"
-            )
-        if limit is not None:
-            ranks = ranks[:limit]
-    return allocations_from_flat(priced, priced.sorted_order[ranks])
-
-
-def batch_best_indexed(
-    priced: PricedSpace, budgets_rbes: np.ndarray | list[float]
-) -> list[list[Allocation]]:
-    """The best allocation per budget, for M budgets in one pass.
-
-    One vectorized ``searchsorted`` + gather answers the whole sweep —
-    no per-budget ranking.  Infeasible budgets yield empty lists, the
-    same degradation :meth:`QueryEngine.batch` applies.
-    """
-    budgets = np.asarray(budgets_rbes, dtype=np.float64)
-    index = priced.budget_index
-    if index.size == 0:
-        return [[] for _ in budgets]
-    positions = np.searchsorted(index.thr_sorted, budgets, side="right")
-    feasible = positions > 0
-    ranks = index.best_prefix[np.maximum(positions - 1, 0)]
-    flat = priced.sorted_order[ranks]
-    best = allocations_from_flat(priced, flat)
-    return [
-        [best[i]] if feasible[i] else [] for i in range(len(budgets))
-    ]
-
-
-def pareto_indexed(
-    priced: PricedSpace, max_budget: float | None = None
-) -> list[Allocation]:
-    """The (area, CPI) Pareto frontier under a budget, off the index.
-
-    Unconstrained queries slice the cached full-space frontier; budget-
-    capped queries re-run the running-minimum scan over the feasible
-    prefix of the rank order (one vectorized pass), because the
-    restricted frontier is *not* always a subset of the full one when
-    a budget lands between two equal-area entries' thresholds.
-
-    Raises:
-        BudgetError: if no combination fits the budget.
-    """
-    index = priced.budget_index
-    if index.size == 0:
-        raise BudgetError("the priced space is empty; nothing is feasible")
-    if max_budget is None or max_budget >= index.thr_sorted[-1]:
-        ranks = index.frontier_ranks
-    else:
-        feasible_ranks = np.flatnonzero(index.thr_by_rank <= max_budget)
-        if feasible_ranks.size == 0:
-            raise BudgetError(
-                f"no configuration fits within {max_budget} rbes"
-            )
-        areas = priced.area_grid[priced.sorted_order[feasible_ranks]]
-        ranks = feasible_ranks[_frontier_positions(areas)]
-    return allocations_from_flat(priced, priced.sorted_order[ranks])
 
 
 # ---------------------------------------------------------------------------
 # Ordering contract (tie-breaks at exact-budget boundaries)
 #
-# Every ranking path — rank_priced, rank_indexed, batch_best_indexed,
-# pareto_indexed, and rank_priced_power below — orders allocations by
+# rank_priced, best_many and pareto_priced order allocations by
 # ascending (cpi, area_rbe, flat enumeration index), where the flat
-# index is (tlb, icache, dcache) position in the priced space's key
-# tuples.  Feasibility at a budget B uses the *reference predicate*
-# ``budget_left = (B - t_area) - i_area; budget_left >= 0 and d_area <=
-# budget_left`` — float subtraction order included — so a budget equal
-# to a configuration's area to the ULP admits exactly the entries the
-# interpreted triple loop admits.  rank_indexed reproduces that
-# predicate through the ULP-walked thresholds of BudgetIndex, which is
-# why the two paths are bit-identical even one ULP either side of a
-# boundary (tests/core/test_tie_breaks.py holds this).
+# index is the (tlb, icache, dcache) position in the priced space's key
+# tuples: that is PricedSpace.sorted_order.  Feasibility takes one of
+# two predicates:
 #
-# rank_priced_power uses mathematical sums (area_grid / power_grid)
-# instead of the reference predicate: rankings are the same except
-# possibly at budgets within a few ULPs of an entry's area.  Callers
-# needing exact boundary semantics use rank_indexed.
+# * Without a power budget, the *reference predicate* of
+#   Allocator._rank_reference, ``budget_left = (B - t_area) - i_area;
+#   budget_left >= 0 and d_area <= budget_left``, float subtraction
+#   order included.  PricedSpace.thresholds holds, per entry, the
+#   smallest float budget at which it holds, so ``thresholds <= B`` is
+#   the predicate bit for bit, even one ULP either side of an entry's
+#   area (tests/core/test_tie_breaks.py holds this).
+# * With a power budget, the summed totals ``area_grid <= B and
+#   power_grid <= P``.  Rankings match the reference predicate's except
+#   possibly at budgets within a few ULPs of an entry's area; the
+#   power axis has no walked thresholds.
 # ---------------------------------------------------------------------------
 
 
 def flat_index(priced: PricedSpace, t: int, i: int, d: int) -> int:
     """The flat grid index of a (tlb, icache, dcache) key triple."""
     return (t * len(priced.icache_keys) + i) * len(priced.dcache_keys) + d
-
-
-def rank_priced_power(
-    priced: PricedSpace,
-    budget_rbes: float,
-    power_budget_mw: float,
-    limit: int | None = None,
-) -> list[Allocation]:
-    """Exact ranking under a joint area x power budget.
-
-    Same (cpi, area, enumeration) order as :func:`rank_priced`;
-    feasibility is the mathematical ``area_grid <= budget and
-    power_grid <= power_budget`` (see the ordering contract above —
-    the power axis has no ULP-walked index).
-
-    Raises:
-        BudgetError: if no combination fits the budgets.
-    """
-    feasible = (priced.area_grid <= budget_rbes) & (
-        priced.power_grid <= power_budget_mw
-    )
-    order_all = priced.sorted_order
-    ranked = order_all[feasible[order_all]]
-    if ranked.size == 0:
-        raise BudgetError(
-            f"no configuration fits within {budget_rbes} rbes "
-            f"and {power_budget_mw} mW"
-        )
-    if limit is not None:
-        ranked = ranked[:limit]
-    return allocations_from_flat(priced, ranked)
 
 
 class Allocator:
@@ -641,7 +542,7 @@ class Allocator:
         # float-operation order matches the interpreted triple loop in
         # _rank_reference (held identical by the tests), so results are
         # bit-for-bit the same, including tie-breaking by enumeration
-        # order once rank_priced's stable lexsort runs.
+        # order once sorted_order's stable sort runs.
         tlb_keys = list(tlb_cost)
         ic_keys = list(icache_cost)
         dc_keys = list(dcache_cost)

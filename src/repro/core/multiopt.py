@@ -41,11 +41,13 @@ One frontier therefore answers both query kinds bit-identically to
 :func:`exhaustive_best`, and every point on it is some query's answer.
 
 Feasibility here is the summed-total predicate ``area <= budget`` of
-:func:`exhaustive_best`.  The single-level
-:class:`~repro.core.allocator.BudgetIndex` keeps the reference
+:func:`exhaustive_best`.  Single-level area queries keep the reference
 predicate ``budget_left = (B - t_area) - i_area``, which is not a
 function of a partial's summed area, so dominance on partial sums does
-not carry over to it; single-level queries stay on that index.
+not carry over to it.  They apply this module's answer-set argument to
+whole entries instead: :attr:`~repro.core.allocator.PricedSpace.
+best_ranks` keeps the ranks whose per-entry threshold no earlier rank
+matches (see :mod:`repro.core.allocator`).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ is two ``perf_counter`` calls and a deque append, cheap enough to keep
 in production paths.  ``repro.store`` and ``repro.service.engine``
 trace through this module, so a request decomposes into
 ``http.request → engine.query → store.load → engine.price →
-engine.rank_priced`` with per-stage durations.
+engine.point`` with per-stage durations.
 """
 
 from __future__ import annotations

@@ -5,29 +5,33 @@ from its cheap decision procedure (ranking under a budget).  The
 engine loads :class:`~repro.core.measure.BenefitCurves` from a
 :class:`~repro.store.CurveStore` once per OS, prices the configuration
 space once per (OS, restriction) via :meth:`Allocator.price`, and then
-answers arbitrary budget queries with :func:`rank_priced` — the same
-vectorized kernel :meth:`Allocator.rank` uses, so every answer is
-bit-identical to the brute-force path (the differential tests sweep
-random budgets to hold this).
+answers arbitrary budget queries against the warm priced space with
+the functions :meth:`Allocator.rank` uses, so every answer is
+bit-identical to the brute-force path (the differential tests hold it
+against ``Allocator._rank_reference`` and a reference-predicate mask).
 
 Three query shapes:
 
-* **point** — the ranked allocations under one budget;
+* **point** — the ranked allocations under one budget
+  (:func:`~repro.core.allocator.rank_priced`);
 * **batch** — a sweep over budgets x OS mixes against warm priced
-  spaces (no re-pricing, no re-simulation);
+  spaces, no re-pricing, no re-simulation
+  (:func:`~repro.core.allocator.best_many` for the best allocation per
+  budget, :func:`~repro.core.allocator.rank_priced` per budget
+  otherwise);
 * **pareto** — the (area, CPI) frontier: allocations no other feasible
   point beats on both axes, with ties resolved exactly as the
-  brute-force ranking resolves them.
+  brute-force ranking resolves them
+  (:func:`~repro.core.allocator.pareto_priced`).
 
 Two-level queries (``space="two_level"``) run over each OS's
 :class:`~repro.core.hierarchy.TwoLevelSpace`, whose exact Pareto
 frontier is built once per OS: point, batch and surface answers equal
 the exhaustive optimum bit for bit, with or without a power budget.
-Single-level queries stay on the priced space's
-:class:`~repro.core.allocator.BudgetIndex`, because its feasibility is
-the reference predicate ``budget_left = (B - t_area) - i_area``, which
-is not a function of a partial selection's summed area — the
-frontier's dominance argument does not carry over to it.
+Single-level area queries keep the reference predicate ``budget_left =
+(B - t_area) - i_area`` through the priced space's per-entry
+thresholds; it is not a function of a partial selection's summed area,
+so the two-level frontier's stage pruning does not carry over to it.
 
 Responses to the dict-level :meth:`QueryEngine.query` API are memoized
 in an LRU keyed on the *normalized* request, so repeated or
@@ -56,10 +60,9 @@ from repro.core.allocator import (
     Allocation,
     Allocator,
     PricedSpace,
-    batch_best_indexed,
-    pareto_indexed,
-    rank_indexed,
-    rank_priced_power,
+    best_many,
+    pareto_priced,
+    rank_priced,
 )
 from repro.core.configs import CacheConfig, TlbConfig
 from repro.core.cpi import CpiModel
@@ -254,7 +257,7 @@ class QueryEngine:
             if key is None:
                 raise StoreError(
                     f"store {self.store.root} has no entry for OS "
-                    f"{os_name!r} at the current scale/engine; build one "
+                    f"{os_name!r} at the current scale; build one "
                     f"with `python -m repro.service build --os {os_name}`"
                 )
             return self.store.load(key)
@@ -310,21 +313,20 @@ class QueryEngine:
     ) -> list[Allocation]:
         """Ranked allocations under one budget (best first).
 
-        Without a power budget, answered off the priced space's
-        :class:`~repro.core.allocator.BudgetIndex`: a ``limit=1`` query
-        is a binary search plus one lookup, and every answer is
-        bit-identical to :meth:`Allocator.rank` (the differential
-        tests hold this).  With ``power_budget`` set the exact joint
-        area x power ranking answers (:func:`rank_priced_power`).
+        :func:`~repro.core.allocator.rank_priced` over the warm priced
+        space: a ``limit=1`` query without a power budget is one binary
+        search of the answer set, and every answer is what
+        :meth:`Allocator.rank` returns.  ``power_budget`` adds the joint
+        area x power ceiling.
+
+        Raises:
+            BudgetError: nothing fits (an empty space included).
         """
         priced = self.priced_space(os_name, max_cache_assoc, max_access_time_ns)
-        if power_budget is not None:
-            with trace_span("engine.rank_power", os=os_name, budget=budget):
-                return rank_priced_power(
-                    priced, budget, power_budget, limit=limit
-                )
-        with trace_span("engine.rank_indexed", os=os_name, budget=budget):
-            return rank_indexed(priced, budget, limit=limit)
+        with trace_span("engine.point", os=os_name, budget=budget):
+            return rank_priced(
+                priced, budget, limit=limit, power_budget=power_budget
+            )
 
     def point_two_level(
         self,
@@ -352,44 +354,33 @@ class QueryEngine:
     ) -> list[tuple[str, float, list[Allocation]]]:
         """A budget x OS sweep against warm priced spaces.
 
-        The default ``limit=1`` sweep is answered in one vectorized
-        pass per OS (``searchsorted`` over all budgets at once) instead
-        of one ranking per point; deeper limits — and any sweep with a
-        ``power_budget``, whose feasibility masking the budget index
-        does not precompute — fall back to per-budget rankings.
-        Infeasible (os, budget) points yield an empty allocation list
-        rather than failing the whole sweep.
+        The default ``limit=1`` sweep without a power budget is one
+        vectorized :func:`~repro.core.allocator.best_many` pass per OS;
+        any other sweep is one :func:`~repro.core.allocator.rank_priced`
+        call per budget.  Infeasible (os, budget) points yield an empty
+        allocation list rather than failing the whole sweep.
         """
+
+        def ranked_or_empty(priced: PricedSpace, budget: float) -> list:
+            try:
+                return rank_priced(
+                    priced, budget, limit=limit, power_budget=power_budget
+                )
+            except BudgetError:
+                return []
+
         out = []
         for os_name in os_names:
             priced = self.priced_space(
                 os_name, max_cache_assoc, max_access_time_ns
             )
-            with trace_span(
-                "engine.batch_indexed", os=os_name, budgets=len(budgets)
-            ):
-                if power_budget is not None:
-                    per_budget = []
-                    for budget in budgets:
-                        try:
-                            per_budget.append(
-                                rank_priced_power(
-                                    priced, budget, power_budget, limit=limit
-                                )
-                            )
-                        except BudgetError:
-                            per_budget.append([])
-                elif limit == 1:
-                    per_budget = batch_best_indexed(priced, budgets)
+            with trace_span("engine.batch", os=os_name, budgets=len(budgets)):
+                if limit == 1 and power_budget is None:
+                    per_budget = best_many(priced, budgets)
                 else:
-                    per_budget = []
-                    for budget in budgets:
-                        try:
-                            per_budget.append(
-                                rank_indexed(priced, budget, limit=limit)
-                            )
-                        except BudgetError:
-                            per_budget.append([])
+                    per_budget = [
+                        ranked_or_empty(priced, budget) for budget in budgets
+                    ]
             out.extend(
                 (os_name, budget, ranked)
                 for budget, ranked in zip(budgets, per_budget)
@@ -448,13 +439,15 @@ class QueryEngine:
     ) -> list[Allocation]:
         """The area-vs-CPI Pareto frontier of the (budget-capped) space.
 
-        Unconstrained queries return the frontier precomputed on the
-        budget index; budget-capped ones run one vectorized scan over
-        the feasible prefix — no per-query full ranking either way.
+        :func:`~repro.core.allocator.pareto_priced`: one running-minimum
+        scan over the ranks that fit, no per-query ranking.
+
+        Raises:
+            BudgetError: nothing fits (an empty space included).
         """
         priced = self.priced_space(os_name, max_cache_assoc, max_access_time_ns)
-        with trace_span("engine.pareto_indexed", os=os_name, pareto=True):
-            return pareto_indexed(priced, max_budget)
+        with trace_span("engine.pareto", os=os_name, pareto=True):
+            return pareto_priced(priced, max_budget)
 
     def entry_count(self) -> int:
         """Published store entries (cached; see CurveStore.entry_count)."""
@@ -573,7 +566,7 @@ class QueryEngine:
         Returns the cached ``(body, etag)`` and counts a byte hit.  On a
         byte-cache miss, a single-level ``point`` query with
         ``limit: 1``, no ``power_budget``, over a priced space this
-        engine already holds is a budget-index binary search (~0.1 ms):
+        engine already holds is one binary search of its answer set:
         it is answered here, exactly as :meth:`query_bytes` would, and
         counted as a byte miss.  Deeper rankings cost 0.4-1.2 ms at
         limits 2-64 and stay off the caller's thread.  Anything
@@ -785,7 +778,7 @@ def maybe_engine(
     """An engine backed by the (default) store, if it can serve this OS.
 
     Experiments call this to prefer the service path: when the store
-    has a curve set matching the current scale/engine the returned
+    has a curve set matching the current scale the returned
     engine answers without re-simulation; otherwise None sends the
     caller down the direct measurement path.
     """

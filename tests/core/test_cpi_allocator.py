@@ -200,4 +200,6 @@ class TestAllocatorEdges:
 
         allocator = Allocator(curves, budget_rbes=120_000)
         priced = allocator.price(**space_kwargs)
-        assert rank_priced(priced, 120_000) == allocator.rank(**space_kwargs)
+        reference = allocator._rank_reference(**space_kwargs)
+        assert rank_priced(priced, 120_000) == reference
+        assert rank_priced(priced, 120_000, limit=1) == reference[:1]

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import multiopt
-from repro.core.allocator import Allocator, rank_priced, rank_priced_power
+from repro.core.allocator import Allocator, rank_priced
 from repro.core.measure import measure_workload
 from repro.core.multiopt import (
     StructureCurve,
@@ -123,12 +123,12 @@ class TestGreedyMatchesExhaustive:
 
     def test_small_grid_exact_boundaries(self, priced):
         """At exact entry-area budgets the frontier matches the optimum
-        under its summed-total predicate (rank_priced_power with an
-        unbounded power budget ranks under exactly that mask)."""
+        under its summed-total predicate (rank_priced with an unbounded
+        power budget ranks under exactly that mask)."""
         frontier = priced_frontier(priced)
         for budget in _exact_budgets(priced):
-            best = rank_priced_power(
-                priced, float(budget), float("inf"), limit=1
+            best = rank_priced(
+                priced, float(budget), limit=1, power_budget=float("inf")
             )[0]
             assert_top1(frontier.best(float(budget)), best)
 
@@ -146,15 +146,16 @@ class TestGreedyMatchesExhaustive:
             best = rank_priced(priced, float(budget), limit=1)[0]
             assert_top1(frontier.best(float(budget)), best)
         for budget in rng.choice(grid, size=25, replace=False):
-            best = rank_priced_power(
-                priced, float(budget), float("inf"), limit=1
+            best = rank_priced(
+                priced, float(budget), limit=1, power_budget=float("inf")
             )[0]
             assert_top1(frontier.best(float(budget)), best)
 
 
 class TestRankAuto:
     """The single-level frontier against the exact rankings the
-    service dispatches to (``rank_indexed`` / ``rank_priced_power``)."""
+    service answers with (``rank_priced``, with and without a power
+    budget)."""
 
     def test_auto_no_power_is_exact(self, priced):
         frontier = priced_frontier(priced)
@@ -172,7 +173,9 @@ class TestRankAuto:
         for q in (0.3, 0.5, 0.7):
             budget = float(np.quantile(grid, q))
             power = float(np.quantile(power_grid, 1.0 - q))
-            expect = rank_priced_power(priced, budget, power, limit=1)[0]
+            expect = rank_priced(
+                priced, budget, limit=1, power_budget=power
+            )[0]
             assert_top1(frontier.best(budget, power), expect)
 
     def test_power_ranking_respects_both_budgets(self, priced):
@@ -180,9 +183,9 @@ class TestRankAuto:
         power_grid = np.asarray(priced.power_grid).ravel()
         budget = float(np.quantile(grid, 0.6))
         power = float(np.quantile(power_grid, 0.4))
-        for a in rank_priced_power(priced, budget, power, limit=50):
+        for a in rank_priced(priced, budget, limit=50, power_budget=power):
             assert a.area_rbe <= budget
-        top = rank_priced_power(priced, budget, power, limit=1)[0]
+        top = rank_priced(priced, budget, limit=1, power_budget=power)[0]
         unconstrained = rank_priced(priced, budget, limit=1)[0]
         assert top.cpi >= unconstrained.cpi
 

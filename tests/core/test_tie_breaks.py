@@ -19,13 +19,7 @@ answered here lost 2.3e-3 CPI on the small ultrix grid).
 import numpy as np
 import pytest
 
-from repro.core.allocator import (
-    Allocator,
-    flat_index,
-    rank_indexed,
-    rank_priced,
-    rank_priced_power,
-)
+from repro.core.allocator import Allocator, flat_index, rank_priced
 from repro.core.measure import measure_workload
 from repro.core.multiopt import build_frontier
 from repro.core.space import enumerate_cache_configs, enumerate_tlb_configs
@@ -114,15 +108,31 @@ class TestOrderingContract:
             assert _rows(rank_priced(priced, float(budget))) == _rows(expected)
 
     def test_indexed_equals_priced_at_boundaries(self, fixture):
+        """The answer-set lookup (``limit=1``) and the threshold filter
+        (other limits) == the interpreted triple loop, at exact
+        feasibility thresholds and one ULP either side."""
         allocator, priced, kwargs = fixture
-        for budget in _boundary_budgets(priced, seed=29):
-            try:
-                expected = rank_priced(priced, float(budget))
-            except BudgetError:
-                with pytest.raises(BudgetError):
-                    rank_indexed(priced, float(budget))
-                continue
-            assert _rows(rank_indexed(priced, float(budget))) == _rows(expected)
+        thresholds = np.unique(priced.thresholds)
+        rng = np.random.default_rng(29)
+        for threshold in rng.choice(thresholds, size=12, replace=False):
+            for budget in (
+                threshold,
+                np.nextafter(threshold, -np.inf),
+                np.nextafter(threshold, np.inf),
+            ):
+                allocator.budget_rbes = float(budget)
+                expected = allocator._rank_reference(
+                    tlbs=list(kwargs["tlbs"]),
+                    icaches=list(kwargs["icaches"]),
+                    dcaches=list(kwargs["dcaches"]),
+                )
+                for limit in (1, 7, None):
+                    if not expected:
+                        with pytest.raises(BudgetError):
+                            rank_priced(priced, float(budget), limit)
+                        continue
+                    got = rank_priced(priced, float(budget), limit)
+                    assert _rows(got) == _rows(expected[:limit])
 
 
 def _frontier(priced):
@@ -145,8 +155,8 @@ class TestGreedyBoundaries:
         where distinct configurations can share the total to the ULP —
         the frontier must return the optimum *under its documented
         feasibility predicate*, the grid comparison ``area_grid <=
-        budget``.  ``rank_priced_power`` with an unbounded power budget
-        ranks under exactly that predicate, so it is the reference
+        budget``.  ``rank_priced`` with an unbounded power budget ranks
+        under exactly that predicate, so it is the reference
         here (the ordering contract documents that the reference
         subtraction predicate may differ by ULPs at these budgets)."""
         allocator, priced, kwargs = fixture
@@ -154,8 +164,8 @@ class TestGreedyBoundaries:
         grid = np.asarray(priced.area_grid).ravel()
         rng = np.random.default_rng(31)
         for budget in rng.choice(grid, size=min(40, grid.size), replace=False):
-            best = rank_priced_power(
-                priced, float(budget), float("inf"), limit=1
+            best = rank_priced(
+                priced, float(budget), limit=1, power_budget=float("inf")
             )[0]
             assert _same_top1(frontier.best(float(budget)), best)
 
@@ -179,7 +189,7 @@ class TestGreedyBoundaries:
             assert _same_top1(frontier.best(budget), best)
 
     def test_power_ranking_at_power_boundaries(self, fixture):
-        """rank_priced_power at power budgets equal to an entry's exact
+        """rank_priced at power budgets equal to an entry's exact
         power: the mask is ``power_grid <= power_budget``, so the exact
         value is admitted and one ULP below is not."""
         allocator, priced, kwargs = fixture
@@ -187,9 +197,11 @@ class TestGreedyBoundaries:
         powers = np.unique(np.asarray(priced.power_grid).ravel())
         rng = np.random.default_rng(37)
         for power in rng.choice(powers, size=min(8, powers.size), replace=False):
-            at = rank_priced_power(priced, area_budget, float(power))
-            below = rank_priced_power(
-                priced, area_budget, float(np.nextafter(power, -np.inf))
+            at = rank_priced(priced, area_budget, power_budget=float(power))
+            below = rank_priced(
+                priced,
+                area_budget,
+                power_budget=float(np.nextafter(power, -np.inf)),
             )
             served_at = {a.config for a in at}
             served_below = {a.config for a in below}

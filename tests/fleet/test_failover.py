@@ -27,6 +27,7 @@ from repro.service.client import ServiceClient
 from repro.service.engine import QueryEngine, allocation_entry
 from repro.service.requests import validate_request
 from repro.store import CurveStore
+from tests.core.oracles import mask_rank
 from tests.fleet.test_router import _read_responses, _wire
 
 pytestmark = [pytest.mark.fleet, pytest.mark.concurrency]
@@ -46,10 +47,12 @@ def _rows(entries):
 
 @pytest.fixture(scope="module")
 def expected(curves):
-    """Allocator.rank ground truth for every budget the load issues."""
+    """Reference-predicate ground truth for every budget the load
+    issues."""
+    priced = Allocator(curves).price()
     answers = {}
     for budget in POINT_BUDGETS:
-        ranked = Allocator(curves, budget_rbes=budget).rank(limit=5)
+        ranked = mask_rank(priced, budget, limit=5)
         answers[budget] = _rows(
             allocation_entry(i, a) for i, a in enumerate(ranked, 1)
         )

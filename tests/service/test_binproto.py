@@ -21,7 +21,6 @@ import threading
 
 import pytest
 
-from repro.core.allocator import rank_priced
 from repro.core.measure import BenefitCurves, measure_workload
 from repro.errors import BudgetError, RequestError
 from repro.service import binproto
@@ -29,6 +28,7 @@ from repro.service.client import ServiceClient
 from repro.service.engine import QueryEngine
 from repro.service.http import make_server, shutdown_gracefully
 from repro.store import CurveStore, StoreKey
+from tests.core.oracles import mask_rank
 
 TEST_REFERENCES = 60_000
 
@@ -244,7 +244,7 @@ class TestWireDifferential:
         sampled = paired[::40] + [paired[0], paired[-1]]
         for row, budget in sampled:
             try:
-                expected = rank_priced(priced, budget, limit=3)
+                expected = mask_rank(priced, budget, limit=3)
             except BudgetError:
                 expected = []
             assert row["feasible"] == bool(expected)

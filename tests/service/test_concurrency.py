@@ -20,9 +20,10 @@ from repro.core.allocator import Allocator
 from repro.core.measure import BenefitCurves, measure_workload
 from repro.errors import StoreError
 from repro.service.client import ServiceClient
-from repro.service.engine import QueryEngine, allocation_entry, pareto_frontier
+from repro.service.engine import QueryEngine, allocation_entry
 from repro.service.http import make_server
 from repro.store import CurveStore, StoreKey
+from tests.core.oracles import mask_pareto, mask_rank
 
 pytestmark = pytest.mark.concurrency
 
@@ -64,25 +65,24 @@ def _rows(allocations):
 
 @pytest.fixture(scope="module")
 def expected(curves):
-    """Brute-force answers for every request the hammer can issue."""
+    """Reference-predicate answers for every request the hammer can
+    issue."""
+    priced = Allocator(curves).price()
     point = {}
     for budget in POINT_BUDGETS:
-        ranked = Allocator(curves, budget_rbes=budget).rank(limit=5)
+        ranked = mask_rank(priced, budget, limit=5)
         point[budget] = _rows(
             allocation_entry(i, a) for i, a in enumerate(ranked, 1)
         )
     pareto = {}
     for budget in PARETO_BUDGETS:
-        ranked = Allocator(
-            curves, budget_rbes=budget if budget is not None else float("inf")
-        ).rank()
         pareto[budget] = _rows(
             allocation_entry(i, a)
-            for i, a in enumerate(pareto_frontier(ranked), 1)
+            for i, a in enumerate(mask_pareto(priced, budget), 1)
         )
     batch = {}
     for budget in {b for sweep in BATCH_SWEEPS for b in sweep}:
-        ranked = Allocator(curves, budget_rbes=budget).rank(limit=1)
+        ranked = mask_rank(priced, budget, limit=1)
         batch[budget] = _rows(
             allocation_entry(i, a) for i, a in enumerate(ranked, 1)
         )

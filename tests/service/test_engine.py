@@ -1,9 +1,11 @@
 """Differential tests: the query engine vs the brute-force allocator.
 
 The service's promise is bit-identity — anything it answers must match
-``Allocator.rank`` exactly, including tie order.  Curves here are
-measured over the full Table 5 space (short trace) so the engine
-prices exactly what production prices.
+the interpreted triple loop ``Allocator._rank_reference`` exactly,
+including tie order; budget sweeps are held against the
+reference-predicate mask oracle of :mod:`tests.core.oracles`.  Curves
+here are measured over the full Table 5 space (short trace) so the
+engine prices exactly what production prices.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from repro.core.measure import BenefitCurves, measure_workload
 from repro.errors import BudgetError, RequestError, StoreError
 from repro.service.engine import QueryEngine, maybe_engine, pareto_frontier
 from repro.store import CurveStore, StoreKey
+from tests.core.oracles import mask_rank, mask_rank_or_empty
 
 TEST_REFERENCES = 60_000
 
@@ -40,15 +43,17 @@ def engine(store):
 class TestBitIdentity:
     def test_paper_budget_equals_brute_force(self, engine, curves):
         """The acceptance criterion: at 250k rbe the service's ranked
-        list equals Allocator.rank output exactly."""
-        direct = Allocator(curves, budget_rbes=DEFAULT_BUDGET_RBES).rank()
+        list equals the interpreted triple loop's exactly."""
+        allocator = Allocator(curves, budget_rbes=DEFAULT_BUDGET_RBES)
+        direct = allocator._rank_reference()
         served = engine.point("mach", DEFAULT_BUDGET_RBES)
         assert served == direct
+        assert engine.point("mach", DEFAULT_BUDGET_RBES, limit=1) == direct[:1]
 
     def test_restricted_assoc_equals_brute_force(self, engine, curves):
-        direct = Allocator(curves, budget_rbes=DEFAULT_BUDGET_RBES).rank(
-            max_cache_assoc=2
-        )
+        direct = Allocator(
+            curves, budget_rbes=DEFAULT_BUDGET_RBES
+        )._rank_reference(max_cache_assoc=2)
         served = engine.point(
             "mach", DEFAULT_BUDGET_RBES, max_cache_assoc=2
         )
@@ -57,20 +62,20 @@ class TestBitIdentity:
     def test_random_budget_sweep(self, engine, curves):
         """Differential sweep over >= 20 random budgets, spanning
         infeasible through unconstrained."""
-        priced = engine.priced_space("mach")
+        priced = Allocator(curves).price()
         lo, hi = priced.min_area(), float(priced.area_grid.max())
         rng = np.random.default_rng(42)
         budgets = list(rng.uniform(lo * 0.8, hi * 1.2, size=24))
         assert len(budgets) >= 20
         for budget in budgets:
-            allocator = Allocator(curves, budget_rbes=budget)
             try:
-                direct = allocator.rank(limit=50)
+                direct = mask_rank(priced, budget, limit=50)
             except BudgetError:
                 with pytest.raises(BudgetError):
                     engine.point("mach", budget)
                 continue
             assert engine.point("mach", budget, limit=50) == direct
+            assert engine.point("mach", budget, limit=1) == direct[:1]
 
     def test_store_round_trip_preserves_floats(self, engine, curves):
         """Curves loaded from disk score identically to in-memory ones."""
@@ -80,11 +85,13 @@ class TestBitIdentity:
 
 class TestBatch:
     def test_batch_matches_point_queries(self, engine):
-        budgets = [150_000.0, 250_000.0, 400_000.0]
-        results = engine.batch(["mach"], budgets, limit=3)
-        assert [b for _, b, _ in results] == budgets
-        for os_name, budget, ranked in results:
-            assert ranked == engine.point(os_name, budget, limit=3)
+        budgets = [1.0, 150_000.0, 250_000.0, 400_000.0]
+        priced = engine.priced_space("mach")
+        for limit in (1, 3):
+            results = engine.batch(["mach"], budgets, limit=limit)
+            assert [b for _, b, _ in results] == budgets
+            for _, budget, ranked in results:
+                assert ranked == mask_rank_or_empty(priced, budget, limit)
 
     def test_infeasible_budget_yields_empty(self, engine):
         results = engine.batch(["mach"], [1.0], limit=1)
@@ -98,7 +105,7 @@ class TestBatch:
 class TestPareto:
     def test_frontier_is_nondominated(self, engine):
         frontier = engine.pareto("mach", max_budget=DEFAULT_BUDGET_RBES)
-        full = engine.point("mach", DEFAULT_BUDGET_RBES)
+        full = mask_rank(engine.priced_space("mach"), DEFAULT_BUDGET_RBES)
         # Sorted by (area, cpi), some q dominates p iff a strictly
         # smaller area has cpi <= p's (prefix min), or p's own area
         # has a strictly smaller cpi (first in its area group).
@@ -120,7 +127,7 @@ class TestPareto:
 
     def test_every_nondominated_point_is_on_frontier(self, engine):
         frontier = engine.pareto("mach", max_budget=DEFAULT_BUDGET_RBES)
-        full = engine.point("mach", DEFAULT_BUDGET_RBES)
+        full = mask_rank(engine.priced_space("mach"), DEFAULT_BUDGET_RBES)
         frontier_set = {(a.area_rbe, a.cpi) for a in frontier}
         # Sorted by (area, cpi), a point is dominated iff a smaller
         # cpi shares its area (it is not first in its area group) or
@@ -142,7 +149,7 @@ class TestPareto:
         """Among exact (area, cpi) ties the frontier keeps the config
         the brute-force ranking lists first."""
         frontier = engine.pareto("mach", max_budget=DEFAULT_BUDGET_RBES)
-        full = engine.point("mach", DEFAULT_BUDGET_RBES)
+        full = mask_rank(engine.priced_space("mach"), DEFAULT_BUDGET_RBES)
         first_by_score = {}
         for allocation in full:
             first_by_score.setdefault(
@@ -163,6 +170,41 @@ class TestPareto:
 
     def test_pareto_frontier_helper_empty(self):
         assert pareto_frontier([]) == []
+
+
+class TestEmptySpace:
+    """An access-time bound no structure meets prices an empty space:
+    every request shape answers "nothing fits", never an internal
+    error."""
+
+    BOUND = {"max_access_time_ns": 0.001}
+
+    def test_point_raises_budget_error(self, engine):
+        for limit in (1, 3, None):
+            with pytest.raises(BudgetError):
+                engine.query({"type": "point", "os": "mach",
+                              "budget": 1e9, "limit": limit, **self.BOUND})
+
+    def test_power_point_raises_budget_error(self, engine):
+        with pytest.raises(BudgetError):
+            engine.query({"type": "point", "os": "mach", "budget": 1e9,
+                          "power_budget": 1e9, **self.BOUND})
+
+    def test_batch_rows_are_infeasible(self, engine):
+        for limit in (1, 3):
+            response = engine.query({"type": "batch", "os": "mach",
+                                     "budgets": [1.0, 1e9], "limit": limit,
+                                     **self.BOUND})
+            assert [r["feasible"] for r in response["results"]] == [
+                False, False
+            ]
+            assert all(r["allocations"] == [] for r in response["results"])
+
+    def test_pareto_raises_budget_error(self, engine):
+        for max_budget in (None, 1e9):
+            with pytest.raises(BudgetError):
+                engine.query({"type": "pareto", "os": "mach",
+                              "max_budget": max_budget, **self.BOUND})
 
 
 class TestQueryApi:

@@ -9,11 +9,11 @@ stored curves clients query.
 import numpy as np
 import pytest
 
-from repro.core.allocator import rank_priced_power
 from repro.core.measure import BenefitCurves, measure_workload
 from repro.errors import BudgetError, RequestError
 from repro.service.engine import QueryEngine
 from repro.service.requests import validate_request
+from tests.core.oracles import mask_rank, mask_rank_or_empty
 
 TEST_REFERENCES = 60_000
 
@@ -35,7 +35,7 @@ def engine(curves):
 class TestSingleLevelPower:
     def test_point_power_matches_rank_priced_power(self, engine):
         priced = engine.priced_space("mach")
-        expect = rank_priced_power(priced, AREA_BUDGET, POWER_BUDGET, limit=5)
+        expect = mask_rank(priced, AREA_BUDGET, 5, power_budget=POWER_BUDGET)
         served = engine.point(
             "mach", AREA_BUDGET, limit=5, power_budget=POWER_BUDGET
         )
@@ -56,15 +56,16 @@ class TestSingleLevelPower:
 
     def test_batch_power_matches_point(self, engine):
         budgets = [150_000.0, AREA_BUDGET]
-        rows = engine.batch(
-            ["mach"], budgets, limit=2, power_budget=POWER_BUDGET
-        )
-        assert [b for _, b, _ in rows] == budgets
-        for _, budget, ranked in rows:
-            expect = engine.point(
-                "mach", budget, limit=2, power_budget=POWER_BUDGET
+        priced = engine.priced_space("mach")
+        for limit in (1, 2):
+            rows = engine.batch(
+                ["mach"], budgets, limit=limit, power_budget=POWER_BUDGET
             )
-            assert ranked == expect
+            assert [b for _, b, _ in rows] == budgets
+            for _, budget, ranked in rows:
+                assert ranked == mask_rank_or_empty(
+                    priced, budget, limit, power_budget=POWER_BUDGET
+                )
 
     def test_batch_power_infeasible_is_empty_row(self, engine):
         rows = engine.batch(["mach"], [AREA_BUDGET], power_budget=1e-9)
@@ -177,9 +178,7 @@ class TestQueryApi:
         )
         assert out["count"] == 1
         priced = engine.priced_space("mach")
-        expect = rank_priced_power(
-            priced, AREA_BUDGET, POWER_BUDGET, limit=1
-        )[0]
+        expect = mask_rank(priced, AREA_BUDGET, 1, power_budget=POWER_BUDGET)[0]
         assert out["allocations"][0]["cpi"] == expect.cpi
 
     def test_result_cache_hits_on_respelled_two_level(self, engine):

@@ -15,6 +15,7 @@ from repro.service.__main__ import main as cli_main
 from repro.service.engine import QueryEngine
 from repro.service.http import MAX_BODY_BYTES, make_server, shutdown_gracefully
 from repro.store import CurveStore, StoreKey
+from tests.core.oracles import mask_rank
 
 TEST_REFERENCES = 60_000
 
@@ -84,7 +85,7 @@ class TestHttp:
              "limit": 5},
         )
         assert status == 200 and payload["ok"] is True
-        direct = Allocator(curves, budget_rbes=DEFAULT_BUDGET_RBES).rank(limit=5)
+        direct = mask_rank(Allocator(curves).price(), DEFAULT_BUDGET_RBES, 5)
         served = payload["result"]["allocations"]
         assert [(a["area_rbe"], a["cpi"]) for a in served] == [
             (a.area_rbe, a.cpi) for a in direct
@@ -117,6 +118,16 @@ class TestHttp:
     def test_unsatisfiable_budget_is_422(self, server):
         status, payload = _post(
             server, "/v1/query", {"type": "point", "os": "mach", "budget": 1}
+        )
+        assert status == 422
+        assert payload["error"]["code"] == "budget_unsatisfiable"
+
+    def test_access_time_bound_fitting_nothing_is_422(self, server):
+        """No structure meets the bound, so the priced space is empty."""
+        status, payload = _post(
+            server, "/v1/query",
+            {"type": "point", "os": "mach", "budget": 250_000,
+             "max_access_time_ns": 0.001},
         )
         assert status == 422
         assert payload["error"]["code"] == "budget_unsatisfiable"
@@ -342,7 +353,7 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        direct = Allocator(curves, budget_rbes=DEFAULT_BUDGET_RBES).rank(limit=3)
+        direct = mask_rank(Allocator(curves).price(), DEFAULT_BUDGET_RBES, 3)
         assert [a["cpi"] for a in payload["result"]["allocations"]] == [
             a.cpi for a in direct
         ]

@@ -350,8 +350,8 @@ class TestServedObservability:
             set_tracer(previous)
         spans = tracer.finished()
         by_name = {s["name"]: s for s in spans}
-        assert {"store.load", "engine.price", "engine.rank_indexed",
+        assert {"store.load", "engine.price", "engine.point",
                 "engine.query"} <= set(by_name)
         query = by_name["engine.query"]
-        assert by_name["engine.rank_indexed"]["trace"] == query["trace"]
+        assert by_name["engine.point"]["trace"] == query["trace"]
         assert by_name["store.load"]["trace"] == query["trace"]
