@@ -7,13 +7,16 @@ miss table split into user/kernel misses.  One synthetic trace per
 (workload, OS) feeds single-pass stack simulations; results are cached
 on disk so reruns (tests, benchmarks, the allocator) are cheap.
 
-Measurement decomposes into independent units — one per (workload, OS,
-structure, line size) plus the TLB table and the timing pass — which
-can fan out over a process pool.  Performance knobs:
+Each (workload, OS) pair is measured in one pass over its trace: one
+chunk loop feeds every I-cache and D-cache grid, the TLB table and the
+reference timing pass, as Tapeworm simulates many configurations per
+pass.  Pairs are independent, so they can fan out over a process pool.
+Performance knobs:
 
 * ``REPRO_SCALE`` scales trace lengths (default 1.0; larger values
   tighten estimates at the cost of runtime).
-* ``REPRO_JOBS`` sets the worker-process count.  Explicit ``jobs``
+* ``REPRO_JOBS`` sets the worker-process count; each worker measures
+  whole pairs, and a lone pair stays in-process.  Explicit ``jobs``
   arguments (and the runner's ``--jobs`` flag) take precedence over
   the environment variable; the default is 1 (serial, in-process).
 * ``REPRO_CACHE_DIR`` moves the measurement cache (default
@@ -59,11 +62,17 @@ from repro.core.space import (
     TABLE5_TLB_ENTRIES,
     TABLE5_TLB_FULL_MAX_ENTRIES,
 )
-from repro.memsim.multiconfig import cache_miss_ratio_grid_chunked
+from repro.memsim.multiconfig import StreamingCacheGrid, cache_miss_ratio_grid_chunked
 from repro.memsim.stackdist import StreamingStackDistance
-from repro.memsim.timing import DECSTATION_3100, simulate_system_stream
+from repro.memsim.timing import (
+    DECSTATION_3100,
+    ChunkIndex,
+    StreamingSystemTiming,
+    mapped_page_ids,
+    simulate_system_stream,
+)
+from repro.memsim.types import AccessKind
 from repro.trace import tracestore
-from repro.units import PAGE_SHIFT, VPN_BITS
 
 DEFAULT_REFERENCES = 700_000
 DEFAULT_WARMUP = 0.4
@@ -225,76 +234,95 @@ def _tlb_table(
     full_max_entries: int,
     warm: int,
 ) -> dict:
-    """Measure the TLB miss table with warmup-aware stack passes.
+    """Measure the TLB miss table of a trace or trace stream.
 
-    ``source`` is a trace or trace stream read chunk by chunk.  The
-    mapped-reference filter, the warmup boundary and the consecutive-
-    duplicate dedupe (its last id carried across chunk boundaries)
-    accumulate across chunks, and every stack pass carries its state,
-    so the table does not depend on the chunking.  Set-associative
-    points take one pass per distinct set count; the fully-associative
-    points share one single-stack pass.
+    ``source`` is read chunk by chunk into one :class:`_StreamingTlbTable`
+    whose first ``warm`` references only prime the stacks.
     """
-    max_assoc = max(assocs)
-    set_counts = sorted({n // a for n in entries_list for a in assocs if a <= n})
-    sims = {
-        n_sets: StreamingStackDistance(n_sets, max_assoc, track_flags=True)
-        for n_sets in set_counts
-    }
-    fa_sizes = [n for n in entries_list if n <= full_max_entries]
-    fa_sim = (
-        StreamingStackDistance(1, max(fa_sizes), track_flags=True)
-        if fa_sizes
-        else None
-    )
-    last_id = None
+    table = _StreamingTlbTable(entries_list, assocs, full_max_entries, warm)
     for start, _stop, fields in source.chunks(
         ("addresses", "asids", "mapped", "kernel")
     ):
-        mapped_local = np.flatnonzero(fields["mapped"])
-        if not len(mapped_local):
-            continue
-        vpns = fields["addresses"][mapped_local] >> PAGE_SHIFT
-        ids = (fields["asids"][mapped_local].astype(np.int64) << VPN_BITS) | vpns
-        kernel = np.asarray(fields["kernel"], dtype=bool)[mapped_local]
-        raw_count_from = int((mapped_local < warm - start).sum())
+        table.feed(start, *mapped_page_ids(fields))
+    return table.table()
+
+
+class _StreamingTlbTable:
+    """The TLB miss table, fed one chunk of mapped references at a time.
+
+    The warmup boundary and the consecutive-duplicate dedupe (its last
+    id carried across chunk boundaries) accumulate across chunks, and
+    every stack pass carries its state, so the table does not depend on
+    the chunking.  Set-associative points take one pass per distinct
+    set count; the fully-associative points share one single-stack
+    pass.
+    """
+
+    def __init__(self, entries_list, assocs, full_max_entries: int, warm: int):
+        self.entries_list = entries_list
+        self.assocs = assocs
+        self.warm = warm
+        max_assoc = max(assocs)
+        set_counts = sorted({n // a for n in entries_list for a in assocs if a <= n})
+        self._sims = {
+            n_sets: StreamingStackDistance(n_sets, max_assoc, track_flags=True)
+            for n_sets in set_counts
+        }
+        self._fa_sizes = [n for n in entries_list if n <= full_max_entries]
+        self._fa_sim = (
+            StreamingStackDistance(1, max(self._fa_sizes), track_flags=True)
+            if self._fa_sizes
+            else None
+        )
+        self._last_id = None
+
+    def feed(
+        self, start: int, positions: np.ndarray, ids: np.ndarray, kernel: np.ndarray
+    ) -> None:
+        """Step every pass over the mapped references of the chunk that
+        begins at reference ``start`` (see
+        :func:`~repro.memsim.timing.mapped_page_ids`)."""
+        if not len(positions):
+            return
+        raw_count_from = int((positions < self.warm - start).sum())
         # Consecutive same-page references are guaranteed hits.
         keep = np.empty(len(ids), dtype=bool)
-        keep[0] = last_id is None or ids[0] != last_id
+        keep[0] = self._last_id is None or ids[0] != self._last_id
         np.not_equal(ids[1:], ids[:-1], out=keep[1:])
         deduped = ids[keep]
         kernel_d = kernel[keep]
         deduped_from = int(keep[:raw_count_from].sum())
-        last_id = int(ids[-1])
-        for sim in sims.values():
+        self._last_id = int(ids[-1])
+        for sim in self._sims.values():
             sim.feed(deduped, kernel_d, count_from=deduped_from)
-        if fa_sim is not None:
-            fa_sim.feed(deduped, kernel_d, count_from=deduped_from)
+        if self._fa_sim is not None:
+            self._fa_sim.feed(deduped, kernel_d, count_from=deduped_from)
 
-    table: dict = {}
-    for n_sets, sim in sims.items():
-        misses = sim.miss_counts()
-        kernel_misses = sim.flagged_miss_counts()
-        for assoc in assocs:
-            entries = n_sets * assoc
-            if entries in entries_list:
-                total = int(misses[assoc - 1])
-                k = int(kernel_misses[assoc - 1])
-                table[(entries, assoc)] = (total - k, k)
-    if fa_sim is not None:
-        sizes = np.asarray(fa_sizes, dtype=np.int64)
-        misses = fa_sim.miss_counts()[sizes - 1]
-        kernel_misses = fa_sim.flagged_miss_counts()[sizes - 1]
-        for size, total, k in zip(fa_sizes, misses, kernel_misses):
-            table[(size, FULLY_ASSOCIATIVE)] = (int(total) - int(k), int(k))
-    return table
+    def table(self) -> dict:
+        """``(entries, assoc) -> (user_misses, kernel_misses)``."""
+        table: dict = {}
+        for n_sets, sim in self._sims.items():
+            misses = sim.miss_counts()
+            kernel_misses = sim.flagged_miss_counts()
+            for assoc in self.assocs:
+                entries = n_sets * assoc
+                if entries in self.entries_list:
+                    total = int(misses[assoc - 1])
+                    k = int(kernel_misses[assoc - 1])
+                    table[(entries, assoc)] = (total - k, k)
+        if self._fa_sim is not None:
+            sizes = np.asarray(self._fa_sizes, dtype=np.int64)
+            misses = self._fa_sim.miss_counts()[sizes - 1]
+            kernel_misses = self._fa_sim.flagged_miss_counts()[sizes - 1]
+            for size, total, k in zip(self._fa_sizes, misses, kernel_misses):
+                table[(size, FULLY_ASSOCIATIVE)] = (int(total) - int(k), int(k))
+        return table
 
 
 # ---------------------------------------------------------------------------
-# Unit-level measurement: one (workload, OS) measurement decomposes
-# into independent units — a cache grid per (structure, line size), the
-# TLB table, and the reference timing pass — that run serially or fan
-# out over a process pool.  Traces come from the zero-copy trace plane
+# Pair-level measurement: one (workload, OS) pair is measured in one
+# pass over its trace, and pairs run serially or fan out over a process
+# pool.  Traces come from the zero-copy trace plane
 # (repro.trace.tracestore): generated once, published to an mmap-backed
 # on-disk cache, and shared by every worker through the OS page cache.
 # A small per-process LRU memo keeps the hottest trace handles alive.
@@ -310,14 +338,14 @@ def _trace_for(workload: str, os_name: str, references: int, seed: int):
     trace = _worker_traces.get(key)
     if trace is not None:
         # True LRU: refresh recency on hits too, otherwise the cap
-        # evicts by insertion order and interleaved units can drop the
-        # hottest trace.
+        # evicts by insertion order and interleaved measurements can
+        # drop the hottest trace.
         _worker_traces[key] = _worker_traces.pop(key)
         return trace
     # Evict only the least-recently-used entry (dict preserves
     # insertion order, and hits re-insert): clearing the whole memo
-    # would drop a still-hot sibling trace and force interleaved units
-    # to reload it every time.
+    # would drop a still-hot sibling trace and force interleaved
+    # measurements to reload it every time.
     while len(_worker_traces) >= _WORKER_TRACE_CAP:
         _worker_traces.pop(next(iter(_worker_traces)))
     trace = tracestore.get_trace(workload, os_name, references, seed=seed)
@@ -326,25 +354,16 @@ def _trace_for(workload: str, os_name: str, references: int, seed: int):
 
 
 def _warm_trace(spec: tuple) -> tuple[tuple, bool]:
-    """Publish one trace to the plane (pool warm-up task body).
+    """Publish one trace to the plane (:func:`warm_traces` task body).
 
-    Returns ``(spec, published)``.  The warming worker also memoizes
-    the trace, so the units it receives next hit its in-process LRU;
-    a worker that already holds the trace skips the disk entirely.
-    Traces long enough for the streaming path skip the memo — units
-    will read them in chunks, never whole.
+    Returns ``(spec, published)``.
     """
     workload, os_name, references, seed = spec
-    if spec in _worker_traces:
-        return spec, False
-    published = tracestore.ensure(workload, os_name, references, seed=seed)
-    if not _use_streaming(references):
-        _trace_for(workload, os_name, references, seed)
-    return spec, published
+    return spec, tracestore.ensure(workload, os_name, references, seed=seed)
 
 
 def _use_streaming(references: int) -> bool:
-    """Whether measurement units consume this trace chunk-streaming.
+    """Whether measurement consumes this trace chunk-streaming.
 
     Traces longer than one stream chunk are generated, stored and
     simulated in fixed-size windows so peak RSS stays bounded by the
@@ -423,80 +442,85 @@ def _pool_map(jobs: int, fn, items: list) -> list:
     raise AssertionError("unreachable")
 
 
-def _measure_unit(spec: tuple):
-    """Compute one measurement unit; runs in-process or in a worker.
+def _measure_unit(spec: tuple) -> StructureCurves:
+    """Measure one ``(workload, os_name, opts)`` pair in one pass.
 
-    Every unit reads its columns chunk by chunk from one source: the
-    memoised materialized trace as a single chunk, or — for traces too
-    long to hold (see :func:`_use_streaming`) — an on-disk
+    Runs in-process or in a worker.  The source is opened once: the
+    memoised materialized trace, read as a single chunk, or — for
+    traces too long to hold (see :func:`_use_streaming`) — one on-disk
     :class:`~repro.trace.tracestore.TraceStream` read one
     ``REPRO_STREAM_CHUNK``-sized window at a time, so peak RSS is
-    bounded by the chunk size instead of the trace length.
+    bounded by the chunk size instead of the trace length.  A pre-pass
+    over ``kinds`` counts each reference kind in the whole trace and in
+    its warm window; then one chunk loop feeds every stack pass — the
+    I- and D-cache grids over the physical addresses of their kind, the
+    TLB table and the reference timing pass — with each chunk's
+    :class:`~repro.memsim.timing.ChunkIndex` computed once and shared.
     """
-    (unit, workload, os_name, references, seed, warmup_fraction, params) = spec
-    if _use_streaming(references):
-        source = tracestore.stream(workload, os_name, references, seed=seed)
+    workload, os_name, opts = spec
+    if _use_streaming(opts.references):
+        source = tracestore.stream(workload, os_name, opts.references, seed=opts.seed)
     else:
-        source = _trace_for(workload, os_name, references, seed)
-    warm = int(len(source) * warmup_fraction)
-    if unit in ("icache", "dcache"):
-        capacities, line_words, assocs = params
-        kind_code = 0 if unit == "icache" else 1
-        field = "ifetch_physical" if unit == "icache" else "load_physical"
-        # How many of the first `warm` references are this kind.
-        stream_warm = 0
-        for start, _stop, fields in source.chunks(("kinds",)):
-            if start >= warm:
-                break
-            head = fields["kinds"][: warm - start]
-            stream_warm += int((head == kind_code).sum())
-        stream_len = source.count(field)
-        return cache_miss_ratio_grid_chunked(
-            (fields[field] for _s, _e, fields in source.chunks((field,))),
-            stream_len,
-            list(capacities),
-            [line_words],
-            list(assocs),
-            warmup_fraction=stream_warm / max(stream_len, 1),
-        )
-    if unit == "tlb":
-        tlb_entries, tlb_assocs, tlb_full_max = params
-        return _tlb_table(source, tlb_entries, tlb_assocs, tlb_full_max, warm)
-    if unit == "timing":
-        totals = {"instructions": 0, "loads": 0, "stores": 0, "mapped": 0}
+        source = _trace_for(workload, os_name, opts.references, opts.seed)
+    warm = int(len(source) * opts.warmup_fraction)
+    kinds_total = np.zeros(3, dtype=np.int64)
+    kinds_warm = np.zeros(3, dtype=np.int64)
+    for start, _stop, fields in source.chunks(("kinds",)):
+        kinds = fields["kinds"]
+        kinds_total += np.bincount(kinds, minlength=3)[:3]
+        kinds_warm += np.bincount(kinds[: max(warm - start, 0)], minlength=3)[:3]
 
-        def chunks_with_counts():
-            for start, _stop, fields in source.chunks(
-                ("addresses", "physical", "kinds", "asids", "mapped", "kernel")
-            ):
-                kinds = fields["kinds"]
-                lo = min(max(warm - start, 0), len(kinds))
-                counted = kinds[lo:]
-                totals["instructions"] += int((counted == 0).sum())
-                totals["loads"] += int((counted == 1).sum())
-                totals["stores"] += int((counted == 2).sum())
-                totals["mapped"] += int(fields["mapped"][lo:].sum())
-                yield fields
-
-        reference_timing = simulate_system_stream(
-            chunks_with_counts(),
-            len(source),
-            source.other_cpi,
-            DECSTATION_3100,
-            warmup_fraction=warmup_fraction,
+    def kind_grid(kind: int) -> StreamingCacheGrid:
+        n, s = int(kinds_total[kind]), int(kinds_warm[kind])
+        # The kind stream's warm boundary is s / n turned back into a
+        # count, as the grid over that stream alone took it; the round
+        # trip is one reference short of s for some (s, n), and keeping
+        # it keeps every measured curve unchanged.
+        return StreamingCacheGrid(
+            opts.capacities, opts.lines, opts.assocs, int(n * (s / max(n, 1)))
         )
-        return {
-            **totals,
-            "other_cpi": source.other_cpi,
-            "wb_stall": reference_timing.cpi_components["write_buffer"],
-            "page_fault_per_instr": source.page_faults
-            / max(source.count("ifetch_physical"), 1),
-        }
-    raise ValueError(f"unknown measurement unit {unit!r}")
+
+    icache = kind_grid(AccessKind.IFETCH)
+    dcache = kind_grid(AccessKind.LOAD)
+    tlb = _StreamingTlbTable(
+        opts.tlb_entries, opts.tlb_assocs, opts.tlb_full_max, warm
+    )
+    timing = StreamingSystemTiming(DECSTATION_3100, warm)
+    mapped = 0
+    for start, _stop, fields in source.chunks(tracestore.REFERENCE_FIELDS):
+        index = ChunkIndex.of(fields)
+        physical = fields["physical"]
+        icache.feed(physical[index.ifetch])
+        dcache.feed(physical[index.load])
+        tlb.feed(start, index.mapped, index.page_ids, index.kernel)
+        timing.feed(fields, index)
+        mapped += int(np.count_nonzero(index.mapped >= warm - start))
+
+    instructions, loads, stores = (
+        int(kinds_total[k] - kinds_warm[k])
+        for k in (AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE)
+    )
+    return StructureCurves(
+        workload=workload,
+        os_name=os_name,
+        instructions=instructions,
+        loads_per_instr=loads / instructions,
+        stores_per_instr=stores / instructions,
+        mapped_per_instr=mapped / instructions,
+        other_cpi=source.other_cpi,
+        wb_stall_per_instr=timing.result(source.other_cpi).cpi_components[
+            "write_buffer"
+        ],
+        page_fault_per_instr=source.page_faults
+        / max(int(kinds_total[AccessKind.IFETCH]), 1),
+        icache=icache.result(),
+        dcache=dcache.result(),
+        tlb=tlb.table(),
+    )
 
 
 # perfbench's layer tracer still looks these names up on this module
-# (retargeted by ROADMAP item 5); nothing here calls them.
+# (retargeted by ROADMAP item 7); nothing here calls them.
 cache_miss_ratio_grid = cache_miss_ratio_grid_chunked
 _tlb_table_stream = _tlb_table
 simulate_system = simulate_system_stream
@@ -530,62 +554,6 @@ class _MeasureOpts:
             seed=self.seed,
         )
 
-    def unit_specs(self, workload: str, os_name: str) -> list[tuple]:
-        common = (
-            workload,
-            os_name,
-            self.references,
-            self.seed,
-            self.warmup_fraction,
-        )
-        specs = [
-            ("icache", *common, (self.capacities, lw, self.assocs))
-            for lw in self.lines
-        ]
-        specs += [
-            ("dcache", *common, (self.capacities, lw, self.assocs))
-            for lw in self.lines
-        ]
-        specs.append(
-            ("tlb", *common, (self.tlb_entries, self.tlb_assocs, self.tlb_full_max))
-        )
-        specs.append(("timing", *common, None))
-        return specs
-
-
-def _assemble_curves(
-    workload: str, os_name: str, specs: list[tuple], outputs: list
-) -> StructureCurves:
-    icache: dict = {}
-    dcache: dict = {}
-    tlb: dict = {}
-    stats: dict = {}
-    for spec, output in zip(specs, outputs):
-        unit = spec[0]
-        if unit == "icache":
-            icache.update(output)
-        elif unit == "dcache":
-            dcache.update(output)
-        elif unit == "tlb":
-            tlb = output
-        else:
-            stats = output
-    instructions = stats["instructions"]
-    return StructureCurves(
-        workload=workload,
-        os_name=os_name,
-        instructions=instructions,
-        loads_per_instr=stats["loads"] / instructions,
-        stores_per_instr=stats["stores"] / instructions,
-        mapped_per_instr=stats["mapped"] / instructions,
-        other_cpi=stats["other_cpi"],
-        wb_stall_per_instr=stats["wb_stall"],
-        page_fault_per_instr=stats["page_fault_per_instr"],
-        icache=icache,
-        dcache=dcache,
-        tlb=tlb,
-    )
-
 
 def _measure_pairs(
     pairs: list[tuple[str, str]],
@@ -593,7 +561,7 @@ def _measure_pairs(
     use_cache: bool,
     jobs: int,
 ) -> list[StructureCurves]:
-    """Measure several (workload, OS) pairs, fanning units over a pool."""
+    """Measure several (workload, OS) pairs, fanning pairs over a pool."""
     results: dict[tuple[str, str], StructureCurves] = {}
     todo: list[tuple[str, str]] = []
     for pair in pairs:
@@ -603,38 +571,16 @@ def _measure_pairs(
         else:
             todo.append(pair)
 
-    if todo:
-        pair_specs = {pair: opts.unit_specs(*pair) for pair in todo}
-        flat = [spec for specs in pair_specs.values() for spec in specs]
-        if jobs > 1:
-            if tracestore.enabled():
-                # Publish every *missing* trace once (generation fans
-                # out across the pool, one pair per worker) so the unit
-                # fan-out memmaps shared bytes instead of regenerating
-                # the same trace in every worker.  Already-published
-                # entries skip the warm-up round trip: workers memmap
-                # them on demand.
-                missing = [
-                    (w, o, opts.references, opts.seed)
-                    for w, o in todo
-                    if not tracestore.has(
-                        tracestore.key_for(w, o, opts.references, opts.seed)
-                    )
-                ]
-                if missing:
-                    _pool_map(jobs, _warm_trace, missing)
-            flat_outputs = _pool_map(jobs, _measure_unit, flat)
-        else:
-            flat_outputs = [_measure_unit(spec) for spec in flat]
-        cursor = 0
-        for pair in todo:
-            specs = pair_specs[pair]
-            outputs = flat_outputs[cursor : cursor + len(specs)]
-            cursor += len(specs)
-            curves = _assemble_curves(*pair, specs, outputs)
-            if use_cache:
-                _store_cached(opts.cache_key(*pair), curves)
-            results[pair] = curves
+    specs = [(workload, os_name, opts) for workload, os_name in todo]
+    # A lone pair gains nothing from a worker but the process hop.
+    if jobs > 1 and len(specs) > 1:
+        measured = _pool_map(jobs, _measure_unit, specs)
+    else:
+        measured = [_measure_unit(spec) for spec in specs]
+    for pair, curves in zip(todo, measured):
+        if use_cache:
+            _store_cached(opts.cache_key(*pair), curves)
+        results[pair] = curves
     return [results[pair] for pair in pairs]
 
 
@@ -657,8 +603,8 @@ def measure_workload(
 
     Results are cached on disk keyed by every parameter, so repeated
     calls (from tests, benches and the allocator) cost one pickle load.
-    ``jobs`` (argument, then REPRO_JOBS, then 1) fans the measurement
-    units out over worker processes.
+    One pair is always measured in-process: ``jobs`` only spreads
+    several pairs (see :func:`measure_suite`).
     """
     return measure_suite(
         os_name, (workload,), capacities, lines, assocs, tlb_entries,
@@ -684,9 +630,9 @@ def measure_suite(
 ) -> list[StructureCurves]:
     """Measure every workload of the suite under one OS.
 
-    With ``jobs > 1`` the units of *all* uncached workloads are pooled
-    into one process-pool submission, so parallelism spans workloads as
-    well as structures.
+    With ``jobs > 1`` every uncached workload is one task of a single
+    process-pool submission, so up to ``jobs`` pairs are measured at
+    once.
     """
     from repro.workloads.registry import workload_names
 

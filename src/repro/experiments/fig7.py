@@ -10,7 +10,7 @@ leaving only page-fault/compulsory ("Other") time.
 from __future__ import annotations
 
 from repro.core.configs import TlbConfig
-from repro.core.measure import measure_workload
+from repro.core.measure import measure_suite
 from repro.experiments.common import (
     format_table,
     projection_factor,
@@ -26,15 +26,12 @@ KERNEL_PENALTY = 400
 
 def run(os_name: str = "mach") -> list[dict]:
     """Return one row per FA TLB size with service-time components."""
-    curves = [
-        measure_workload(
-            workload,
-            os_name,
-            tlb_entries=SIZES,
-            tlb_full_max=max(SIZES),
-        )
-        for workload in suite()
-    ]
+    curves = measure_suite(
+        os_name,
+        tuple(suite()),
+        tlb_entries=SIZES,
+        tlb_full_max=max(SIZES),
+    )
     rows = []
     for size in SIZES:
         user_s = kernel_s = other_s = 0.0

@@ -8,9 +8,10 @@ Usage::
     python -m repro.experiments.runner --all --jobs 4
 
 Set ``REPRO_SCALE`` to trade accuracy for runtime (e.g. 0.3 for a
-quick pass, 3.0 for a long, tighter run).  ``--jobs N`` fans the
-measurement units out over N worker processes; it takes precedence
-over the ``REPRO_JOBS`` environment variable (default 1, serial).
+quick pass, 3.0 for a long, tighter run).  ``--jobs N`` measures up
+to N (workload, OS) pairs at once in worker processes; it takes
+precedence over the ``REPRO_JOBS`` environment variable (default 1,
+serial).
 When more than one experiment is requested, ``--jobs N`` also runs up
 to N whole experiments concurrently (each serial inside, so the
 process count stays bounded by N); output is captured per experiment

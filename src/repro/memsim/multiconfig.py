@@ -6,8 +6,8 @@ property so each (line size, set count) pair costs a single pass
 (see :mod:`repro.memsim.stackdist`).  They are the workhorses behind
 Figures 7-10 and the Table 6/7 allocation sweep.
 
-The grid consumes its stream in chunks (a materialized stream is one
-chunk) and feeds each chunk to one
+The grid (:class:`StreamingCacheGrid`) consumes its stream in chunks
+(a materialized stream is one chunk) and feeds each chunk to one
 :class:`~repro.memsim.stackdist.StreamingStackDistance` per (line
 size, set count), capped at the deepest associativity that set count
 actually needs — the largest set counts are only ever direct-mapped or
@@ -124,11 +124,8 @@ def cache_miss_ratio_grid_chunked(
     ``warmup_fraction`` of the stream primes the stacks without being
     counted (steady-state measurement, as in the paper's long hardware
     runs); the boundary is the reference index
-    ``int(total * warmup_fraction)``.  Consecutive references to the
-    same line are dropped before simulation (guaranteed hits; the last
-    id is carried across chunk boundaries), and each (line size, set
-    count) pass carries its stack state exactly between chunks, so
-    results do not depend on how the stream is chunked.
+    ``int(total * warmup_fraction)``.  The chunks feed one
+    :class:`StreamingCacheGrid`.
 
     Returns:
         Mapping ``(capacity_bytes, line_words, assoc) -> miss ratio``;
@@ -136,40 +133,66 @@ def cache_miss_ratio_grid_chunked(
         ways) are omitted.
     """
     total = int(total_references)
-    grid: dict[tuple[int, int, int], float] = {}
-    if total == 0:
-        return grid
-    warm = int(total * warmup_fraction)
-    counted_total = total - warm
-
-    per_line: dict[int, dict] = {}
-    for line_words in line_words_list:
-        line_bytes = line_words * WORD_BYTES
-        depth_needed: dict[int, int] = {}
-        for capacity in capacities:
-            for assoc in assocs:
-                n_sets = capacity // (line_bytes * assoc)
-                if n_sets >= 1:
-                    depth_needed[n_sets] = max(depth_needed.get(n_sets, 0), assoc)
-        per_line[line_words] = {
-            "depth_needed": depth_needed,
-            "sims": {
-                n_sets: StreamingStackDistance(n_sets, cap)
-                for n_sets, cap in depth_needed.items()
-            },
-            "last_id": None,
-            "deduped_counted": 0,
-        }
-
-    consumed = 0
+    grid = StreamingCacheGrid(
+        capacities, line_words_list, assocs, warm=int(total * warmup_fraction)
+    )
     for chunk in chunks:
-        chunk = np.asarray(chunk, dtype=np.int64)
+        grid.feed(chunk)
+    if grid.consumed != total:
+        raise ValueError(
+            f"chunks supplied {grid.consumed} references, expected {total}"
+        )
+    return grid.result()
+
+
+class StreamingCacheGrid:
+    """A miss-ratio grid fed one address chunk at a time.
+
+    The first ``warm`` references prime the stacks without being
+    counted.  Consecutive references to the same line are dropped
+    before simulation (guaranteed hits; the last id is carried across
+    chunk boundaries), and each (line size, set count) pass is one
+    :class:`~repro.memsim.stackdist.StreamingStackDistance`, capped at
+    the deepest associativity that set count needs, which carries its
+    stacks exactly between chunks, so :meth:`result` does not depend
+    on how the stream is chunked.
+    """
+
+    def __init__(self, capacities, line_words_list, assocs, warm: int = 0):
+        self.capacities = list(capacities)
+        self.assocs = list(assocs)
+        self.warm = int(warm)
+        self.consumed = 0
+        self._lines: dict[int, dict] = {}
+        for line_words in line_words_list:
+            line_bytes = line_words * WORD_BYTES
+            depth_needed: dict[int, int] = {}
+            for capacity in self.capacities:
+                for assoc in self.assocs:
+                    n_sets = capacity // (line_bytes * assoc)
+                    if n_sets >= 1:
+                        depth_needed[n_sets] = max(
+                            depth_needed.get(n_sets, 0), assoc
+                        )
+            self._lines[line_words] = {
+                "depth_needed": depth_needed,
+                "sims": {
+                    n_sets: StreamingStackDistance(n_sets, cap)
+                    for n_sets, cap in depth_needed.items()
+                },
+                "last_id": None,
+                "deduped_counted": 0,
+            }
+
+    def feed(self, addresses) -> None:
+        """Step every pass over the next chunk of byte addresses."""
+        chunk = np.asarray(addresses, dtype=np.int64)
         if len(chunk) == 0:
-            continue
-        start = consumed
-        consumed += len(chunk)
-        raw_count_from = min(max(warm - start, 0), len(chunk))
-        for line_words, state in per_line.items():
+            return
+        start = self.consumed
+        self.consumed += len(chunk)
+        raw_count_from = min(max(self.warm - start, 0), len(chunk))
+        for line_words, state in self._lines.items():
             ids = line_ids_for(chunk, line_words)
             keep = np.empty(len(ids), dtype=bool)
             keep[0] = state["last_id"] is None or ids[0] != state["last_id"]
@@ -180,23 +203,24 @@ def cache_miss_ratio_grid_chunked(
             state["last_id"] = int(ids[-1])
             for sim in state["sims"].values():
                 sim.feed(deduped, count_from=deduped_count_from)
-    if consumed != total:
-        raise ValueError(
-            f"chunks supplied {consumed} references, expected {total}"
-        )
 
-    for line_words in line_words_list:
-        state = per_line[line_words]
-        line_bytes = line_words * WORD_BYTES
-        n_counted_deduped = state["deduped_counted"]
-        for n_sets, cap in sorted(state["depth_needed"].items()):
-            hits = state["sims"][n_sets].hit_counts()
-            for assoc in assocs:
-                capacity = n_sets * assoc * line_bytes
-                if assoc <= cap and capacity in capacities:
-                    misses = n_counted_deduped - int(hits[assoc - 1])
-                    grid[(capacity, line_words, assoc)] = misses / counted_total
-    return grid
+    def result(self) -> dict[tuple[int, int, int], float]:
+        """Misses per counted reference, keyed like
+        :func:`cache_miss_ratio_grid_chunked`; empty for an empty stream."""
+        grid: dict[tuple[int, int, int], float] = {}
+        if self.consumed == 0:
+            return grid
+        counted_total = self.consumed - self.warm
+        for line_words, state in self._lines.items():
+            line_bytes = line_words * WORD_BYTES
+            for n_sets, cap in sorted(state["depth_needed"].items()):
+                hits = state["sims"][n_sets].hit_counts()
+                for assoc in self.assocs:
+                    capacity = n_sets * assoc * line_bytes
+                    if assoc <= cap and capacity in self.capacities:
+                        misses = state["deduped_counted"] - int(hits[assoc - 1])
+                        grid[(capacity, line_words, assoc)] = misses / counted_total
+        return grid
 
 
 def cache_miss_ratio_grid_reference(

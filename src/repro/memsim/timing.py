@@ -116,6 +116,44 @@ class SystemTimingResult:
 _SYSTEM_FIELDS = ("addresses", "physical", "kinds", "asids", "mapped", "kernel")
 
 
+def mapped_page_ids(chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(positions, page_ids, kernel)`` of a chunk's mapped references:
+    where they sit, the ``(asid << VPN_BITS) | vpn`` tag a TLB looks up,
+    and their kernel flags."""
+    positions = np.flatnonzero(chunk["mapped"])
+    vpns = np.asarray(chunk["addresses"], dtype=np.int64)[positions] >> PAGE_SHIFT
+    asids = np.asarray(chunk["asids"])[positions].astype(np.int64)
+    kernel = np.asarray(chunk["kernel"], dtype=bool)[positions]
+    return positions, (asids << VPN_BITS) | vpns, kernel
+
+
+@dataclass(frozen=True)
+class ChunkIndex:
+    """Where each kind of reference sits in one chunk.
+
+    Computed once per chunk and shared by every pass the chunk feeds:
+    the positions of instruction fetches, loads and stores, and the
+    :func:`mapped_page_ids` of the TLB-translated references.
+    """
+
+    ifetch: np.ndarray
+    load: np.ndarray
+    store: np.ndarray
+    mapped: np.ndarray
+    page_ids: np.ndarray
+    kernel: np.ndarray
+
+    @classmethod
+    def of(cls, chunk) -> "ChunkIndex":
+        kinds = chunk["kinds"]
+        return cls(
+            np.flatnonzero(kinds == AccessKind.IFETCH),
+            np.flatnonzero(kinds == AccessKind.LOAD),
+            np.flatnonzero(kinds == AccessKind.STORE),
+            *mapped_page_ids(chunk),
+        )
+
+
 def simulate_system(
     trace: ReferenceTrace,
     config: SystemConfig,
@@ -149,10 +187,7 @@ def simulate_system_stream(
             (``addresses``/``physical``/``kinds``/``asids``/``mapped``/
             ``kernel``) in program order, their lengths summing to
             ``total_references``; only one chunk is held at a time.
-            All carried state — per-structure LRU stacks, the
-            completion-time cursor and the write buffer's
-            occupancy/slip — makes the result independent of how the
-            trace is chunked.
+            They feed one :class:`StreamingSystemTiming`.
         total_references: the trace length.
         other_cpi: the trace's non-memory stall CPI.
         config: the memory-system configuration.
@@ -168,122 +203,139 @@ def simulate_system_stream(
         paper's Tables 3 and 4.
     """
     n = int(total_references)
-    warm = int(n * warmup_fraction)
-
-    i_sets = config.icache_bytes // (
-        config.icache_line_words * WORD_BYTES * config.icache_assoc
-    )
-    d_sets = config.dcache_bytes // (
-        config.dcache_line_words * WORD_BYTES * config.dcache_assoc
-    )
-    if config.tlb_assoc == "full":
-        t_sets, t_ways = 1, config.tlb_entries
-    else:
-        t_ways = int(config.tlb_assoc)
-        t_sets = config.tlb_entries // t_ways
-    i_sim = StreamingStackDistance(i_sets, config.icache_assoc)
-    d_sim = StreamingStackDistance(d_sets, config.dcache_assoc)
-    t_sim = StreamingStackDistance(t_sets, t_ways)
-    wb_sim = StreamingWriteBuffer(
-        depth=config.wb_depth, retire_cycles=config.wb_retire_cycles
-    )
-    i_penalty = config.cache_penalty(config.icache_line_words)
-    d_penalty = config.cache_penalty(config.dcache_line_words)
-
-    instructions = 0
-    icache_misses = dcache_misses = 0
-    tlb_user_misses = tlb_kernel_misses = 0
-    completion_carry = 0
-    consumed = 0
-
+    timing = StreamingSystemTiming(config, warm=int(n * warmup_fraction))
     for chunk in chunks:
-        kinds = chunk["kinds"]
-        size = len(kinds)
+        timing.feed(chunk, ChunkIndex.of(chunk))
+    if timing.consumed != n:
+        raise ValueError(
+            f"chunks supplied {timing.consumed} references, expected {n}"
+        )
+    return timing.result(other_cpi)
+
+
+class StreamingSystemTiming:
+    """The timing attribution of one trace, fed one chunk at a time.
+
+    The first ``warm`` references only prime the caches and TLB.  All
+    carried state (per-structure LRU stacks, the completion-time cursor
+    and the write buffer's occupancy/slip) makes :meth:`result`
+    independent of how the trace is chunked.
+    """
+
+    def __init__(self, config: SystemConfig, warm: int = 0):
+        self.config = config
+        self.warm = int(warm)
+        self.consumed = 0
+        i_sets = config.icache_bytes // (
+            config.icache_line_words * WORD_BYTES * config.icache_assoc
+        )
+        d_sets = config.dcache_bytes // (
+            config.dcache_line_words * WORD_BYTES * config.dcache_assoc
+        )
+        if config.tlb_assoc == "full":
+            t_sets, self._t_ways = 1, config.tlb_entries
+        else:
+            self._t_ways = int(config.tlb_assoc)
+            t_sets = config.tlb_entries // self._t_ways
+        self._i_sim = StreamingStackDistance(i_sets, config.icache_assoc)
+        self._d_sim = StreamingStackDistance(d_sets, config.dcache_assoc)
+        self._t_sim = StreamingStackDistance(t_sets, self._t_ways)
+        self._wb_sim = StreamingWriteBuffer(
+            depth=config.wb_depth, retire_cycles=config.wb_retire_cycles
+        )
+        self._i_penalty = config.cache_penalty(config.icache_line_words)
+        self._d_penalty = config.cache_penalty(config.dcache_line_words)
+        self.instructions = 0
+        self.icache_misses = self.dcache_misses = 0
+        self.tlb_user_misses = self.tlb_kernel_misses = 0
+        self._completion_carry = 0
+
+    def feed(self, chunk, index: ChunkIndex) -> None:
+        """Step every structure over one chunk of the six fields."""
+        size = len(chunk["kinds"])
         if size == 0:
-            continue
+            return
+        config = self.config
         # The warmup boundary, relative to this chunk.
-        local_warm = warm - consumed
-        consumed += size
+        local_warm = self.warm - self.consumed
+        self.consumed += size
         physical = chunk["physical"]
-        ifetch_mask = kinds == AccessKind.IFETCH
-        load_mask = kinds == AccessKind.LOAD
-        store_mask = kinds == AccessKind.STORE
         penalties = np.zeros(size, dtype=np.int64)
 
-        ifetch_idx = np.flatnonzero(ifetch_mask)
+        ifetch_idx = index.ifetch
         # A depth at the cap is a miss.
-        i_miss = i_sim.feed(
+        i_miss = self._i_sim.feed(
             line_ids_for(physical[ifetch_idx], config.icache_line_words)
         ) == config.icache_assoc
-        penalties[ifetch_idx[i_miss]] += i_penalty
+        penalties[ifetch_idx[i_miss]] += self._i_penalty
         measured_i = ifetch_idx >= local_warm
-        instructions += int(measured_i.sum())
-        icache_misses += int(i_miss[measured_i].sum())
+        self.instructions += int(measured_i.sum())
+        self.icache_misses += int(i_miss[measured_i].sum())
 
-        load_idx = np.flatnonzero(load_mask)
-        d_miss = d_sim.feed(
+        load_idx = index.load
+        d_miss = self._d_sim.feed(
             line_ids_for(physical[load_idx], config.dcache_line_words)
         ) == config.dcache_assoc
-        penalties[load_idx[d_miss]] += d_penalty
-        dcache_misses += int(d_miss[load_idx >= local_warm].sum())
+        penalties[load_idx[d_miss]] += self._d_penalty
+        self.dcache_misses += int(d_miss[load_idx >= local_warm].sum())
 
-        mapped_idx = np.flatnonzero(chunk["mapped"])
+        mapped_idx = index.mapped
         if len(mapped_idx):
-            vpns = np.asarray(chunk["addresses"], dtype=np.int64)[mapped_idx] >> PAGE_SHIFT
-            asids = np.asarray(chunk["asids"])[mapped_idx]
-            t_miss = t_sim.feed((asids.astype(np.int64) << VPN_BITS) | vpns) == t_ways
-            kernel = np.asarray(chunk["kernel"], dtype=bool)[mapped_idx]
+            t_miss = self._t_sim.feed(index.page_ids) == self._t_ways
+            kernel = index.kernel
             tlb_pen = np.where(
                 kernel, config.tlb_kernel_penalty, config.tlb_user_penalty
             )
             penalties[mapped_idx] += t_miss * tlb_pen
             measured = mapped_idx >= local_warm
-            tlb_kernel_misses += int((t_miss & kernel & measured).sum())
-            tlb_user_misses += int((t_miss & ~kernel & measured).sum())
+            self.tlb_kernel_misses += int((t_miss & kernel & measured).sum())
+            self.tlb_user_misses += int((t_miss & ~kernel & measured).sum())
 
-        base = ifetch_mask.astype(np.int64)
+        base = np.zeros(size, dtype=np.int64)
+        base[ifetch_idx] = 1
         completion = np.cumsum(base + penalties)
-        completion += completion_carry
-        completion_carry = int(completion[-1])
-        store_idx = np.flatnonzero(store_mask)
-        wb_sim.feed(
+        completion += self._completion_carry
+        self._completion_carry = int(completion[-1])
+        store_idx = index.store
+        self._wb_sim.feed(
             completion[store_idx],
             count_from=int((store_idx < local_warm).sum()),
         )
 
-    if consumed != n:
-        raise ValueError(f"chunks supplied {consumed} references, expected {n}")
-
-    wb_result = wb_sim.result()
-    other_cycles = other_cpi * instructions
-    tlb_cycles = (
-        tlb_user_misses * config.tlb_user_penalty
-        + tlb_kernel_misses * config.tlb_kernel_penalty
-    )
-    icache_cycles = icache_misses * i_penalty
-    dcache_cycles = dcache_misses * d_penalty
-    total_cycles = (
-        instructions
-        + icache_cycles
-        + dcache_cycles
-        + tlb_cycles
-        + wb_result.stall_cycles
-        + other_cycles
-    )
-    per_instr = 1.0 / instructions if instructions else 0.0
-    return SystemTimingResult(
-        instructions=instructions,
-        cycles=float(total_cycles),
-        icache_misses=icache_misses,
-        dcache_misses=dcache_misses,
-        tlb_user_misses=tlb_user_misses,
-        tlb_kernel_misses=tlb_kernel_misses,
-        wb_stall_cycles=wb_result.stall_cycles,
-        cpi_components={
-            "tlb": tlb_cycles * per_instr,
-            "icache": icache_cycles * per_instr,
-            "dcache": dcache_cycles * per_instr,
-            "write_buffer": wb_result.stall_cycles * per_instr,
-            "other": other_cpi,
-        },
-    )
+    def result(self, other_cpi: float) -> SystemTimingResult:
+        """The CPI breakdown over the counted references."""
+        config = self.config
+        instructions = self.instructions
+        wb_result = self._wb_sim.result()
+        other_cycles = other_cpi * instructions
+        tlb_cycles = (
+            self.tlb_user_misses * config.tlb_user_penalty
+            + self.tlb_kernel_misses * config.tlb_kernel_penalty
+        )
+        icache_cycles = self.icache_misses * self._i_penalty
+        dcache_cycles = self.dcache_misses * self._d_penalty
+        total_cycles = (
+            instructions
+            + icache_cycles
+            + dcache_cycles
+            + tlb_cycles
+            + wb_result.stall_cycles
+            + other_cycles
+        )
+        per_instr = 1.0 / instructions if instructions else 0.0
+        return SystemTimingResult(
+            instructions=instructions,
+            cycles=float(total_cycles),
+            icache_misses=self.icache_misses,
+            dcache_misses=self.dcache_misses,
+            tlb_user_misses=self.tlb_user_misses,
+            tlb_kernel_misses=self.tlb_kernel_misses,
+            wb_stall_cycles=wb_result.stall_cycles,
+            cpi_components={
+                "tlb": tlb_cycles * per_instr,
+                "icache": icache_cycles * per_instr,
+                "dcache": dcache_cycles * per_instr,
+                "write_buffer": wb_result.stall_cycles * per_instr,
+                "other": other_cpi,
+            },
+        )

@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from repro.core.allocator import Allocator
+from repro.core import measure
 from repro.core.configs import CacheConfig, TlbConfig
 from repro.core.measure import (
     CACHE_FORMAT_VERSION,
@@ -125,13 +126,24 @@ class TestCacheRobustness:
 
 class TestParallelMeasurement:
     def test_jobs_bit_identical_to_serial(self):
-        serial = measure_workload(
-            "IOzone", "mach", use_cache=False, jobs=1, **SMALL_GRID
+        pairs = ("IOzone", "jpeg_play")
+        serial = measure_suite(
+            "mach", pairs, use_cache=False, jobs=1, **SMALL_GRID
         )
-        parallel = measure_workload(
-            "IOzone", "mach", use_cache=False, jobs=2, **SMALL_GRID
+        parallel = measure_suite(
+            "mach", pairs, use_cache=False, jobs=2, **SMALL_GRID
         )
         assert serial == parallel
+
+    def test_lone_pair_is_measured_in_process(self, monkeypatch):
+        def no_pool(*_args):
+            raise AssertionError("a single pair went to the pool")
+
+        monkeypatch.setattr(measure, "_pool_map", no_pool)
+        curves = measure_workload(
+            "IOzone", "mach", use_cache=False, jobs=2, **SMALL_GRID
+        )
+        assert curves.instructions > 0
 
     def test_suite_parallel_uses_one_pool(self):
         suite = measure_suite(
@@ -149,10 +161,10 @@ class TestParallelMeasurement:
 
     def test_env_jobs_honored(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")
-        curves = measure_workload(
-            "jpeg_play", "mach", use_cache=False, **SMALL_GRID
+        curves = measure_suite(
+            "mach", ("jpeg_play", "IOzone"), use_cache=False, **SMALL_GRID
         )
-        assert curves.instructions > 0
+        assert all(c.instructions > 0 for c in curves)
 
 
 class TestVectorizedAllocator:

@@ -9,6 +9,7 @@ from repro.core.measure import (
     _measurement_pool,
     _trace_for,
     _worker_traces,
+    measure_suite,
     measure_workload,
     shutdown_measurement_pool,
     warm_traces,
@@ -76,11 +77,13 @@ class TestDifferential:
 
     @pytest.mark.concurrency
     def test_parallel_on_warm_cache_bit_identical(self, plane):
-        serial = measure_workload(
-            "jpeg_play", "ultrix", use_cache=False, jobs=1, **SMALL_GRID
+        # Two pairs, so jobs=2 measures them in pool workers.
+        pairs = ("jpeg_play", "IOzone")
+        serial = measure_suite(
+            "ultrix", pairs, use_cache=False, jobs=1, **SMALL_GRID
         )
-        parallel = measure_workload(
-            "jpeg_play", "ultrix", use_cache=False, jobs=2, **SMALL_GRID
+        parallel = measure_suite(
+            "ultrix", pairs, use_cache=False, jobs=2, **SMALL_GRID
         )
         shutdown_measurement_pool()
         assert serial == parallel
