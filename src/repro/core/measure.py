@@ -4,8 +4,9 @@ Like the paper, the allocation sweep does not simulate every candidate
 system; it composes total CPI from independently measured curves:
 I-cache and D-cache miss-ratio grids over the Table 5 space and a TLB
 miss table split into user/kernel misses.  One synthetic trace per
-(workload, OS) feeds single-pass stack simulations; results are cached
-on disk so reruns (tests, benchmarks, the allocator) are cheap.
+(workload, OS) feeds single-pass stack simulations; each pair's curves
+are cached on disk so reruns (tests, benchmarks, the allocator) are
+cheap.
 
 Each (workload, OS) pair is measured in one pass over its trace: one
 chunk loop feeds every I-cache and D-cache grid, the TLB table and the
@@ -20,7 +21,9 @@ Performance knobs:
   arguments (and the runner's ``--jobs`` flag) take precedence over
   the environment variable; the default is 1 (serial, in-process).
 * ``REPRO_CACHE_DIR`` moves the measurement cache (default
-  ``.repro-cache`` under the working directory).
+  ``.repro-cache`` under the working directory).  It is a
+  :class:`~repro.store.CurveStore` holding one object per measured
+  pair, keyed by the pair and every measurement option.
 * ``REPRO_TRACE_CACHE`` moves (or, set to ``off``, disables) the
   zero-copy trace plane (default ``.repro-trace-cache``): generated
   traces are published once as raw arrays and memory-mapped by every
@@ -31,22 +34,19 @@ Worker processes persist across measurement calls (one shared pool per
 ``jobs`` count), so ``measure_suite`` and ``runner --all --jobs`` reuse
 warm workers — and their trace memos — across workloads.
 
-Cache writes go to a unique temporary file and are published with an
-atomic ``os.replace``, so concurrent workers and interrupted runs
-never corrupt the cache; corrupt or stale-format entries are evicted
-and remeasured instead of crashing.
+The cache publishes each object with an atomic ``os.replace``, so
+concurrent workers and interrupted runs never corrupt it; a missing,
+corrupt or old-schema entry is remeasured and republished instead of
+crashing.
 """
 
 from __future__ import annotations
 
 import atexit
-import hashlib
 import os
-import pickle
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +76,6 @@ from repro.trace import tracestore
 
 DEFAULT_REFERENCES = 700_000
 DEFAULT_WARMUP = 0.4
-CACHE_FORMAT_VERSION = 5
 
 
 def _env_number(name: str, default: str, parse):
@@ -161,70 +160,6 @@ class StructureCurves:
         """(user, kernel) TLB misses per instruction for a design point."""
         user, kernel = self.tlb[(config.entries, config.assoc)]
         return user / self.instructions, kernel / self.instructions
-
-
-def _cache_key(**kwargs) -> str:
-    text = repr(sorted(kwargs.items())) + f"|v{CACHE_FORMAT_VERSION}"
-    return hashlib.sha256(text.encode()).hexdigest()[:24]
-
-
-def _evict(path: Path) -> None:
-    try:
-        path.unlink()
-    except OSError:
-        pass
-
-
-def _load_cached(key: str):
-    """Load a cache entry, evicting corrupt or stale-format files.
-
-    Entries are ``{"version": CACHE_FORMAT_VERSION, "value": ...}``
-    payloads; anything unreadable (truncated write from a crashed run,
-    a foreign file, an old payload format) is deleted and remeasured.
-    """
-    path = cache_dir() / f"{key}.pkl"
-    if not path.exists():
-        return None
-    try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-    except Exception:
-        # Truncated pickles raise UnpicklingError/EOFError; entries
-        # from modules that have since moved raise ImportError or
-        # AttributeError.  All mean the same thing: remeasure.
-        _evict(path)
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != CACHE_FORMAT_VERSION
-        or "value" not in payload
-    ):
-        _evict(path)
-        return None
-    return payload["value"]
-
-
-def _store_cached(key: str, value) -> None:
-    """Atomically publish a cache entry (safe under concurrent writers).
-
-    Each writer dumps to its own temporary file and renames it into
-    place, so readers only ever see complete pickles and the last
-    writer wins without corruption.
-    """
-    directory = cache_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{key}.pkl"
-    payload = {"version": CACHE_FORMAT_VERSION, "value": value}
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{key}-", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(payload, handle)
-        os.replace(tmp_name, path)
-    except BaseException:
-        _evict(Path(tmp_name))
-        raise
 
 
 def _tlb_table(
@@ -520,7 +455,7 @@ def _measure_unit(spec: tuple) -> StructureCurves:
 
 
 # perfbench's layer tracer still looks these names up on this module
-# (retargeted by ROADMAP item 7); nothing here calls them.
+# (retargeted by ROADMAP item 1); nothing here calls them.
 cache_miss_ratio_grid = cache_miss_ratio_grid_chunked
 _tlb_table_stream = _tlb_table
 simulate_system = simulate_system_stream
@@ -538,22 +473,6 @@ class _MeasureOpts:
     warmup_fraction: float
     seed: int
 
-    def cache_key(self, workload: str, os_name: str) -> str:
-        return _cache_key(
-            kind="curves",
-            workload=workload,
-            os_name=os_name,
-            capacities=self.capacities,
-            lines=self.lines,
-            assocs=self.assocs,
-            tlb_entries=self.tlb_entries,
-            tlb_assocs=self.tlb_assocs,
-            tlb_full_max=self.tlb_full_max,
-            references=self.references,
-            warmup=self.warmup_fraction,
-            seed=self.seed,
-        )
-
 
 def _measure_pairs(
     pairs: list[tuple[str, str]],
@@ -561,27 +480,33 @@ def _measure_pairs(
     use_cache: bool,
     jobs: int,
 ) -> list[StructureCurves]:
-    """Measure several (workload, OS) pairs, fanning pairs over a pool."""
-    results: dict[tuple[str, str], StructureCurves] = {}
-    todo: list[tuple[str, str]] = []
-    for pair in pairs:
-        cached = _load_cached(opts.cache_key(*pair)) if use_cache else None
-        if cached is not None:
-            results[pair] = cached
-        else:
-            todo.append(pair)
+    """Measure several (workload, OS) pairs, fanning pairs over a pool.
 
-    specs = [(workload, os_name, opts) for workload, os_name in todo]
+    With ``use_cache`` each pair is one object of the curve store at
+    :func:`cache_dir`, keyed by the pair and every measurement option:
+    a hit is loaded, and a miss is measured and published.
+    """
+    # Imported here: the store imports this module.
+    from repro.store.curvestore import CurveStore
+
+    cache = CurveStore(cache_dir()) if use_cache else None
+    keys = [
+        {"workload": workload, "os_name": os_name, **asdict(opts)}
+        for workload, os_name in pairs
+    ]
+    results = [cache.load_pair(key) if cache else None for key in keys]
+    todo = [i for i, curves in enumerate(results) if curves is None]
+    specs = [(*pairs[i], opts) for i in todo]
     # A lone pair gains nothing from a worker but the process hop.
     if jobs > 1 and len(specs) > 1:
         measured = _pool_map(jobs, _measure_unit, specs)
     else:
         measured = [_measure_unit(spec) for spec in specs]
-    for pair, curves in zip(todo, measured):
-        if use_cache:
-            _store_cached(opts.cache_key(*pair), curves)
-        results[pair] = curves
-    return [results[pair] for pair in pairs]
+    for i, curves in zip(todo, measured):
+        if cache is not None:
+            cache.publish_pair(keys[i], curves)
+        results[i] = curves
+    return results
 
 
 def measure_workload(
@@ -602,7 +527,7 @@ def measure_workload(
     """Measure all benefit curves for one (workload, OS) pair.
 
     Results are cached on disk keyed by every parameter, so repeated
-    calls (from tests, benches and the allocator) cost one pickle load.
+    calls (from tests, benches and the allocator) cost one object load.
     One pair is always measured in-process: ``jobs`` only spreads
     several pairs (see :func:`measure_suite`).
     """

@@ -53,20 +53,6 @@ get_trace.cache_clear = _cached_trace.cache_clear
 get_trace.cache_info = _cached_trace.cache_info
 
 
-def get_trace_stream(
-    workload: str, os_name: str, seed: int = DEFAULT_SEED
-) -> tracestore.TraceStream:
-    """Open one workload/OS trace as a chunked on-disk stream.
-
-    Generates and publishes the trace chunk-streaming if it is not in
-    the plane yet, so experiments at large REPRO_SCALE never hold more
-    than one ``REPRO_STREAM_CHUNK`` window in memory.  Requires the
-    trace plane (raises :class:`~repro.errors.TraceError` under
-    ``REPRO_TRACE_CACHE=off``).
-    """
-    return tracestore.stream(workload, os_name, trace_references(), seed=seed)
-
-
 def suite() -> list[str]:
     """Benchmark names in the paper's order."""
     return workload_names()

@@ -17,10 +17,10 @@ to N whole experiments concurrently (each serial inside, so the
 process count stays bounded by N); output is captured per experiment
 and printed in request order, byte-identical to a serial run.
 
-Allocation experiments (table6/table7) answer from the curve store
-when one exists — build it once with ``python -m repro.service build``
-— and fall back to direct measurement otherwise.  ``--store DIR``
-points them at a non-default store directory.
+Every experiment reads measured curves from the measurement cache
+(``REPRO_CACHE_DIR``), one object per (workload, OS) pair;
+``python -m repro.service build`` measures through the same cache, so
+after a build the allocation experiments measure nothing.
 """
 
 from __future__ import annotations
@@ -136,13 +136,6 @@ def main(argv: list[str] | None = None) -> int:
         "(overrides REPRO_JOBS; default 1)",
     )
     parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="curve-store directory for the service path "
-        "(overrides REPRO_STORE_DIR; default .repro-store)",
-    )
-    parser.add_argument(
         "--warm-traces",
         action="store_true",
         help="pre-generate and publish every (workload, OS) trace to "
@@ -150,11 +143,6 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs and REPRO_SCALE",
     )
     args = parser.parse_args(argv)
-
-    if args.store is not None:
-        # Experiments reach the store through CurveStore.open(), which
-        # reads the env var; the flag takes its place for this process.
-        os.environ["REPRO_STORE_DIR"] = args.store
 
     if args.jobs is not None:
         if args.jobs < 1:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.core.allocator import DEFAULT_BUDGET_RBES, Allocator
 from repro.core.measure import BenefitCurves
 from repro.experiments.common import format_table
-from repro.service.engine import maybe_engine
 
 
 def run(
@@ -15,18 +14,12 @@ def run(
 ) -> list[dict]:
     """Return the best `limit` allocations as table rows.
 
-    When the curve store has an entry for this OS at the current
-    scale/engine, the ranking comes from the query service (no
-    re-simulation); otherwise curves are measured directly.  The two
-    paths are bit-identical — the service reuses the allocator's
-    priced space and ranking kernel.
+    Curves come from the measurement cache, one object per pair, which
+    ``python -m repro.service build`` fills too; pairs it lacks are
+    measured.
     """
-    engine = maybe_engine(os_name)
-    if engine is not None:
-        ranked = engine.point(os_name, budget, limit=limit)
-    else:
-        curves = BenefitCurves.for_suite(os_name)
-        ranked = Allocator(curves, budget_rbes=budget).rank(limit=limit)
+    curves = BenefitCurves.for_suite(os_name)
+    ranked = Allocator(curves, budget_rbes=budget).rank(limit=limit)
     return [a.row() for a in ranked]
 
 

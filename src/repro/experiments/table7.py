@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.core.allocator import DEFAULT_BUDGET_RBES, Allocator
 from repro.core.measure import BenefitCurves
 from repro.experiments.common import format_table
-from repro.service.engine import maybe_engine
 
 
 def run(
@@ -24,15 +23,10 @@ def run(
     The paper's Table 7 shows selected ranks from the restricted list
     and one deliberately poor configuration (#1529) for contrast; we
     return the top of the list plus the worst feasible configuration.
-    Served from the curve store when one exists (see table6).
+    Curves come from the measurement cache (see table6).
     """
-    engine = maybe_engine(os_name)
-    if engine is not None:
-        ranked = engine.point(os_name, budget, max_cache_assoc=2)
-    else:
-        curves = BenefitCurves.for_suite(os_name)
-        allocator = Allocator(curves, budget_rbes=budget)
-        ranked = allocator.rank(max_cache_assoc=2)
+    curves = BenefitCurves.for_suite(os_name)
+    ranked = Allocator(curves, budget_rbes=budget).rank(max_cache_assoc=2)
     rows = []
     for rank, allocation in enumerate(ranked[:limit], start=1):
         row = {"rank": rank, **allocation.row()}

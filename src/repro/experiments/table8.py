@@ -17,29 +17,22 @@ Three parts:
   grid, i.e. the Pareto surface the service's two-level ``pareto``
   query serves.
 
-Like the other experiments, curves come from the service engine when
-the store has an entry for this OS, and direct measurement otherwise.
+Like Tables 6 and 7, curves come from the measurement cache, which
+``python -m repro.service build`` fills too.
 """
 
 from __future__ import annotations
 
-from repro.core.hierarchy import TwoLevelSpace, build_two_level_space
+from repro.core.hierarchy import build_two_level_space
 from repro.core.measure import BenefitCurves
 from repro.core.multiopt import Selection, pareto_surface
 from repro.errors import BudgetError
 from repro.experiments.common import format_table
-from repro.service.engine import maybe_engine, two_level_entry
+from repro.service.engine import two_level_entry
 
 DEFAULT_BUDGETS = (100_000.0, 175_000.0, 250_000.0, 400_000.0)
 DEFAULT_POWER_BUDGET_MW = 25.0
 SURFACE_POWER_BUDGETS_MW = (25.0, 35.0, 50.0, 80.0)
-
-
-def _space(os_name: str) -> TwoLevelSpace:
-    engine = maybe_engine(os_name)
-    if engine is not None:
-        return engine.two_level_space(os_name)
-    return build_two_level_space(BenefitCurves.for_suite(os_name))
 
 
 def _row(budget: float, result: Selection | None) -> dict:
@@ -69,7 +62,7 @@ def run(
     power_budget_mw: float = DEFAULT_POWER_BUDGET_MW,
 ) -> dict:
     """Return the three sections as JSON-ready rows."""
-    space = _space(os_name)
+    space = build_two_level_space(BenefitCurves.for_suite(os_name))
 
     def rows(power: float | None) -> list[dict]:
         out = []

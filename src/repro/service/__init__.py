@@ -1,7 +1,7 @@
 """Allocation query service: budget/Pareto queries over stored curves."""
 
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.engine import QueryEngine, maybe_engine, pareto_frontier
+from repro.service.engine import QueryEngine, pareto_frontier
 from repro.service.faults import (
     FaultInjector,
     get_injector,
@@ -16,7 +16,6 @@ __all__ = [
     "ServiceClient",
     "ServiceClientError",
     "get_injector",
-    "maybe_engine",
     "parse_faults",
     "pareto_frontier",
     "set_injector",

@@ -182,8 +182,7 @@ class QueryEngine:
     def from_curves(
         cls, curves: BenefitCurves, cpi_model: CpiModel | None = None
     ) -> "QueryEngine":
-        """An engine over in-memory curves (no store on disk) — used by
-        tests and by experiments falling back to direct measurement."""
+        """An engine over in-memory curves (no store on disk)."""
         engine = cls.__new__(cls)
         engine.store = None
         engine.cpi_model = cpi_model if cpi_model is not None else CpiModel()
@@ -771,18 +770,3 @@ class QueryEngine:
             "surface": [surface_entry(c) for c in cells],
         }
 
-
-def maybe_engine(
-    os_name: str, store: CurveStore | None = None
-) -> QueryEngine | None:
-    """An engine backed by the (default) store, if it can serve this OS.
-
-    Experiments call this to prefer the service path: when the store
-    has a curve set matching the current scale the returned
-    engine answers without re-simulation; otherwise None sends the
-    caller down the direct measurement path.
-    """
-    store = store if store is not None else CurveStore.open()
-    if store.exists() and store.find_current(os_name) is not None:
-        return QueryEngine(store)
-    return None

@@ -4,23 +4,26 @@ The paper's decision procedure separates into an expensive
 characterization phase (measuring :class:`~repro.core.measure.
 StructureCurves` for every workload of a suite) and cheap repeated
 queries (ranking allocations under a budget).  This module persists
-the characterization so queries never re-simulate:
+each measured (workload, OS) pair once, so queries never re-simulate:
 
-* ``objects/<sha256>.bin`` — the serialized curve payload, addressed
+* ``objects/<sha256>.bin`` — one pair's serialized curves, addressed
   by the SHA-256 of its bytes.  Identical measurements deduplicate to
-  one object no matter how many keys point at them.
-* ``keys/<keyhash>.json`` — a small manifest mapping a logical
-  :class:`StoreKey` (suite, OS, scale, seed) to its object,
-  carrying the schema version and the payload's integrity hash.
+  one object no matter how many manifests point at them.
+* ``keys/<keyhash>.json`` — a suite manifest mapping a logical
+  :class:`StoreKey` (suite, OS, scale, seed) to its pairs' objects in
+  suite order.
+* ``pairs/<keyhash>.json`` — a pair manifest mapping one pair and every
+  option it was measured with to its object.  The measurement cache
+  (:func:`repro.core.measure.cache_dir`) is a store of pair manifests.
 
-Payloads are pickled *plain* Python structures (dicts/lists/numbers
-only, no project classes), so loading an old store never fails on
-moved modules — schema mismatches are detected explicitly and refused
-with a rebuild hint (:class:`~repro.errors.StaleStoreError`).  Loads
-memory-map the object file, verify the hash over the mapped buffer,
-and only then deserialize.  All writes publish crash-safely via a
-unique temp file + ``os.replace``, the same protocol as the
-measurement cache.
+Manifests carry the schema version.  Objects are pickled *plain*
+Python structures (dicts/lists/numbers only, no project classes), so
+loading an old store never fails on moved modules — schema mismatches
+are detected explicitly and refused with a rebuild hint
+(:class:`~repro.errors.StaleStoreError`).  Loads memory-map each
+object file, verify its hash over the mapped buffer, and only then
+deserialize.  Every write publishes crash-safely via a unique temp
+file + ``os.replace``, objects before the manifests that name them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.measure import BenefitCurves, StructureCurves, scale
@@ -44,7 +47,7 @@ from repro.errors import (
 )
 from repro.obs.tracing import trace_span
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MAGIC = "repro-curvestore"
 REBUILD_HINT = (
     "rebuild it with `python -m repro.service build --os <os> --store <dir>` "
@@ -87,11 +90,6 @@ class StoreKey:
     suite: tuple[str, ...]
     scale: float
     seed: int = 1
-    # Fields of a manifest written by an older build that this build no
-    # longer reads (e.g. the stack-distance ``engine`` mode, which never
-    # changed a curve), as sorted (name, value) pairs.  They still take
-    # part in the key's hash, which names the manifest file.
-    legacy: tuple = field(default=(), compare=False, repr=False)
 
     @classmethod
     def current(
@@ -115,7 +113,6 @@ class StoreKey:
     def canonical(self) -> dict:
         """JSON-stable form used for hashing and manifests."""
         return {
-            **dict(self.legacy),
             "os_name": self.os_name,
             "suite": list(self.suite),
             "scale": self.scale,
@@ -123,21 +120,22 @@ class StoreKey:
         }
 
     def hash(self) -> str:
-        text = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()[:24]
+        return _key_hash(self.canonical())
 
     @classmethod
     def from_canonical(cls, data: dict) -> "StoreKey":
-        known = ("os_name", "suite", "scale", "seed")
         return cls(
             os_name=data["os_name"],
             suite=tuple(data["suite"]),
             scale=float(data["scale"]),
             seed=int(data["seed"]),
-            legacy=tuple(
-                sorted((k, v) for k, v in data.items() if k not in known)
-            ),
         )
+
+
+def _key_hash(canonical: dict) -> str:
+    """The name of the manifest for a JSON-stable key."""
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:24]
 
 
 def _structure_to_plain(curves: StructureCurves) -> dict:
@@ -171,21 +169,6 @@ def _structure_from_plain(data: dict) -> StructureCurves:
         icache={(c, l, a): v for c, l, a, v in data["icache"]},
         dcache={(c, l, a): v for c, l, a, v in data["dcache"]},
         tlb={(e, a): (u, k) for e, a, u, k in data["tlb"]},
-    )
-
-
-def _curves_to_payload(curves: BenefitCurves) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "os_name": curves.os_name,
-        "per_workload": [_structure_to_plain(c) for c in curves.per_workload],
-    }
-
-
-def _curves_from_payload(payload: dict) -> BenefitCurves:
-    return BenefitCurves(
-        os_name=payload["os_name"],
-        per_workload=[_structure_from_plain(d) for d in payload["per_workload"]],
     )
 
 
@@ -228,6 +211,10 @@ class CurveStore:
     def _keys(self) -> Path:
         return self.root / "keys"
 
+    @property
+    def _pairs(self) -> Path:
+        return self.root / "pairs"
+
     def _manifest_path(self, key: StoreKey) -> Path:
         return self._keys / f"{key.hash()}.json"
 
@@ -241,30 +228,44 @@ class CurveStore:
 
     # -- build ---------------------------------------------------------
 
-    def build(self, curves: BenefitCurves, key: StoreKey) -> dict:
-        """Serialize and publish one curve set; returns its manifest.
+    def _put_object(self, curves: StructureCurves) -> str:
+        """Publish one pair's object; returns its SHA-256.
 
-        The payload object lands first, the key manifest second, each
-        atomically — a crash between the two leaves an orphan object,
-        never a manifest pointing at missing or partial data.
+        The plain payload pickles to the same bytes whether the curves
+        were just measured or loaded back, so a pair has one digest in
+        every store.  An existing object is replaced, which also repairs
+        one whose bytes went bad.
         """
-        blob = pickle.dumps(_curves_to_payload(curves), protocol=4)
+        payload = {"schema": SCHEMA_VERSION, **_structure_to_plain(curves)}
+        blob = pickle.dumps(payload, protocol=4)
         digest = hashlib.sha256(blob).hexdigest()
-        object_path = self._objects / f"{digest}.bin"
-        if not object_path.exists():
-            _publish(object_path, blob)
+        _publish(self._objects / f"{digest}.bin", blob)
+        return digest
+
+    def _put_manifest(
+        self, path: Path, key: dict, digests: list[str]
+    ) -> dict:
         manifest = {
             "magic": MAGIC,
             "schema": SCHEMA_VERSION,
-            "key": key.canonical(),
-            "object_sha256": digest,
-            "payload_bytes": len(blob),
-            "workloads": len(curves.per_workload),
+            "key": key,
+            "objects": digests,
             "created_unix": round(time.time(), 3),
         }
-        _publish(
-            self._manifest_path(key),
-            (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _publish(path, text.encode())
+        return manifest
+
+    def build(self, curves: BenefitCurves, key: StoreKey) -> dict:
+        """Publish one curve set, an object per pair; returns its manifest.
+
+        The pair objects land first, the key manifest last, each
+        atomically — a crash in between leaves orphan objects, never a
+        manifest pointing at missing or partial data.
+        """
+        digests = [self._put_object(c) for c in curves.per_workload]
+        manifest = self._put_manifest(
+            self._manifest_path(key), key.canonical(), digests
         )
         self._entry_cache = None
         return manifest
@@ -276,33 +277,30 @@ class CurveStore:
         seed: int = 1,
         jobs: int | None = None,
     ) -> dict:
-        """Measure the suite under one OS (cache-assisted) and publish it."""
-        from repro.core.measure import measure_suite
+        """Measure the suite under one OS and publish it.
 
+        Measurement goes through the measurement cache, whose pair
+        objects this store then holds byte for byte, so a later
+        ``BenefitCurves.for_suite`` in the same environment measures
+        nothing.
+        """
         key = StoreKey.current(os_name, suite=suite, seed=seed)
-        curves = BenefitCurves(
-            os_name=os_name,
-            per_workload=measure_suite(
-                os_name, workloads=key.suite, seed=seed, jobs=jobs
-            ),
+        curves = BenefitCurves.for_suite(
+            os_name, workloads=key.suite, seed=seed, jobs=jobs
         )
         return self.build(curves, key)
 
+    def publish_pair(self, key: dict, curves: StructureCurves) -> None:
+        """Publish one measured pair under ``key`` (a JSON-stable dict
+        naming the pair and every option it was measured with)."""
+        digest = self._put_object(curves)
+        self._put_manifest(
+            self._pairs / f"{_key_hash(key)}.json", key, [digest]
+        )
+
     # -- load ----------------------------------------------------------
 
-    def manifest(self, key: StoreKey) -> dict:
-        """Read and validate the manifest for a key.
-
-        Raises:
-            StoreError: no artifact for the key, or unreadable manifest.
-            StaleStoreError: schema version mismatch (with rebuild hint).
-        """
-        path = self._manifest_path(key)
-        if not path.exists():
-            raise StoreError(
-                f"no curve artifact for {key.canonical()} in {self.root}; "
-                + REBUILD_HINT
-            )
+    def _read_manifest(self, path: Path) -> dict:
         try:
             manifest = json.loads(path.read_text())
         except (OSError, ValueError) as exc:
@@ -317,12 +315,27 @@ class CurveStore:
             )
         return manifest
 
+    def manifest(self, key: StoreKey) -> dict:
+        """Read and validate the manifest for a key.
+
+        Raises:
+            StoreError: no artifact for the key, or unreadable manifest.
+            StaleStoreError: schema version mismatch (with rebuild hint).
+        """
+        path = self._manifest_path(key)
+        if not path.exists():
+            raise StoreError(
+                f"no curve artifact for {key.canonical()} in {self.root}; "
+                + REBUILD_HINT
+            )
+        return self._read_manifest(path)
+
     def load(
         self, key: StoreKey, retries: int | None = None
     ) -> BenefitCurves:
         """Load, integrity-check and deserialize one curve set.
 
-        The object file is memory-mapped; the SHA-256 recorded in the
+        Each object file is memory-mapped; the SHA-256 named in the
         manifest is verified over the mapped buffer before a single
         byte is deserialized.  Integrity failures (hash mismatch,
         truncated/empty object) are retried ``retries`` times with a
@@ -347,18 +360,42 @@ class CurveStore:
 
     def _load_once(self, key: StoreKey) -> BenefitCurves:
         manifest = self.manifest(key)
-        digest = manifest["object_sha256"]
-        object_path = self._objects / f"{digest}.bin"
-        if not object_path.exists():
-            raise StoreError(
-                f"manifest {key.hash()} points at missing object {digest}; "
-                + REBUILD_HINT
-            )
         # Imported here: repro.service imports this module at package
         # init, so a top-level import would be circular.
         from repro.service.faults import get_injector
 
         injector = get_injector()
+        return BenefitCurves(
+            os_name=key.os_name,
+            per_workload=[
+                self._read_object(digest, injector)
+                for digest in manifest["objects"]
+            ],
+        )
+
+    def load_pair(self, key: dict) -> StructureCurves | None:
+        """The pair published under ``key``, or None to measure it again.
+
+        A missing, unreadable, corrupt or old-schema entry is a miss,
+        never an error: anything cached can be measured again, and
+        :meth:`publish_pair` then replaces the bad entry.
+        """
+        path = self._pairs / f"{_key_hash(key)}.json"
+        try:
+            (digest,) = self._read_manifest(path)["objects"]
+            return self._read_object(digest)
+        except (StoreError, KeyError, TypeError, ValueError):
+            return None
+
+    def _read_object(self, digest: str, injector=None) -> StructureCurves:
+        """One verified pair object; ``injector`` is the query service's
+        fault seam (:mod:`repro.service.faults`), armed only on
+        :meth:`load`."""
+        object_path = self._objects / f"{digest}.bin"
+        if not object_path.exists():
+            raise StoreError(
+                f"manifest points at missing object {digest}; " + REBUILD_HINT
+            )
         with open(object_path, "rb") as handle:
             size = os.fstat(handle.fileno()).st_size
             if size == 0:
@@ -369,7 +406,7 @@ class CurveStore:
                 handle.fileno(), 0, access=mmap.ACCESS_READ
             ) as view:
                 buffer = view
-                if injector.active:
+                if injector is not None and injector.active:
                     buffer = injector.corrupt_read(bytes(view))
                 if hashlib.sha256(buffer).hexdigest() != digest:
                     raise StoreIntegrityError(
@@ -386,18 +423,16 @@ class CurveStore:
                 f"{payload.get('schema') if isinstance(payload, dict) else '?'!r}"
                 f" but this build reads {SCHEMA_VERSION}; " + REBUILD_HINT
             )
-        return _curves_from_payload(payload)
+        return _structure_from_plain(payload)
 
     def find_current(self, os_name: str, seed: int = 1) -> StoreKey | None:
         """A published key serving ``os_name`` in this process, or None.
 
         Prefers the exact full-suite key the process would measure
         right now; otherwise any entry for the same OS measured at the
-        current scale and seed (e.g. a reduced-suite store, or one
-        written by an older build that recorded its stack-distance
-        engine) — a different scale never matches, so stale stores
-        fall back to remeasurement instead of silently serving wrong
-        curves.
+        current scale and seed (e.g. a reduced-suite store) — a
+        different scale never matches, so a stale store is never
+        silently served as current.
         """
         key = StoreKey.current(os_name, seed=seed)
         if self.has(key):

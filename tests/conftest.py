@@ -41,9 +41,8 @@ def _isolated_measurement_cache(tmp_path_factory):
 
     old = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
-    # Same isolation for the curve store: experiments prefer the
-    # service path whenever a store exists, so tests must never see a
-    # developer's working store.
+    # Same isolation for the curve store the query service opens by
+    # default, so tests never see a developer's working store.
     old_store = os.environ.get("REPRO_STORE_DIR")
     os.environ["REPRO_STORE_DIR"] = str(tmp_path_factory.mktemp("repro-store"))
     # And for the zero-copy trace plane, which would otherwise publish

@@ -1,9 +1,15 @@
-"""Tests for parallel measurement, cache robustness and jobs resolution."""
+"""Tests for parallel measurement, the measurement cache and jobs resolution."""
 
 from __future__ import annotations
 
-import os
+import dataclasses
+import hashlib
+import importlib.util
+import json
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,17 +17,14 @@ from repro.core.allocator import Allocator
 from repro.core import measure
 from repro.core.configs import CacheConfig, TlbConfig
 from repro.core.measure import (
-    CACHE_FORMAT_VERSION,
     BenefitCurves,
-    _load_cached,
-    _store_cached,
-    cache_dir,
     measure_suite,
     measure_workload,
     resolve_jobs,
     scale,
 )
 from repro.errors import ConfigError
+from repro.store import SCHEMA_VERSION
 
 SMALL_GRID = dict(
     capacities=(4096, 8192),
@@ -86,42 +89,147 @@ class TestEnvParsing:
         assert scale() == 0.25
 
 
+def _perfbench_digest(value) -> str:
+    """perfbench's golden digest: SHA-256 of canonical JSON."""
+    path = Path(__file__).resolve().parents[2] / "perfbench" / "harness.py"
+    spec = importlib.util.spec_from_file_location("perfbench_harness", path)
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    return harness.digest(value)
+
+
 class TestCacheRobustness:
-    def test_round_trip(self):
-        _store_cached("roundtrip-key", {"a": 1})
-        assert _load_cached("roundtrip-key") == {"a": 1}
+    """The measurement cache: one curve-store object per measured pair.
 
-    def test_corrupt_entry_evicted(self):
-        path = cache_dir() / "corrupt-key.pkl"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"\x80\x04 truncated garbage")
-        assert _load_cached("corrupt-key") is None
-        assert not path.exists()
+    A missing, corrupt, old-schema or foreign entry is measured again
+    and republished, never raised.
+    """
 
-    def test_stale_version_evicted(self):
-        path = cache_dir() / "stale-key.pkl"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as handle:
-            pickle.dump({"version": CACHE_FORMAT_VERSION - 1, "value": 1}, handle)
-        assert _load_cached("stale-key") is None
-        assert not path.exists()
+    PAIR = ("IOzone", "mach")
 
-    def test_unversioned_payload_evicted(self):
-        path = cache_dir() / "legacy-key.pkl"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as handle:
-            pickle.dump(["a", "legacy", "payload"], handle)
-        assert _load_cached("legacy-key") is None
-        assert not path.exists()
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        return tmp_path / "cache"
 
-    def test_store_leaves_no_temp_files(self):
-        _store_cached("tidy-key", 42)
-        leftovers = [
-            name
-            for name in os.listdir(cache_dir())
-            if name.endswith(".tmp")
+    @pytest.fixture
+    def units(self, monkeypatch):
+        """Pairs handed to ``_measure_unit`` from here on."""
+        calls = []
+        real = measure._measure_unit
+
+        def counting(spec):
+            calls.append(spec[:2])
+            return real(spec)
+
+        monkeypatch.setattr(measure, "_measure_unit", counting)
+        return calls
+
+    def _measure(self):
+        return measure_workload(*self.PAIR, jobs=1, **SMALL_GRID)
+
+    @staticmethod
+    def _manifest(cache: Path) -> Path:
+        (path,) = (cache / "pairs").glob("*.json")
+        return path
+
+    @staticmethod
+    def _object(cache: Path) -> Path:
+        (path,) = (cache / "objects").glob("*.bin")
+        return path
+
+    def test_round_trip(self, cache, units):
+        """The curves read back equal the measured ones exactly, down
+        to the canonical JSON perfbench's goldens digest."""
+        measured = self._measure()
+        assert (64, "full") in measured.tlb
+        loaded = self._measure()
+        assert units == [self.PAIR]
+        assert loaded == measured
+        assert _perfbench_digest(dataclasses.asdict(loaded)) == _perfbench_digest(
+            dataclasses.asdict(measured)
+        )
+
+    def test_corrupt_entry_evicted(self, cache, units):
+        measured = self._measure()
+        obj = self._object(cache)
+        data = bytearray(obj.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        obj.write_bytes(bytes(data))
+        assert self._measure() == measured
+        assert units == [self.PAIR, self.PAIR]
+        # Republished under the same digest: the next call is a hit.
+        assert hashlib.sha256(obj.read_bytes()).hexdigest() == obj.stem
+        assert self._measure() == measured
+        assert len(units) == 2
+
+    def test_stale_version_evicted(self, cache, units):
+        measured = self._measure()
+        path = self._manifest(cache)
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "schema": SCHEMA_VERSION - 1}))
+        assert self._measure() == measured
+        assert units == [self.PAIR, self.PAIR]
+        assert json.loads(path.read_text())["schema"] == SCHEMA_VERSION
+        # An object carrying the old payload schema is a miss too.
+        payload = pickle.loads(self._object(cache).read_bytes())
+        blob = pickle.dumps({**payload, "schema": SCHEMA_VERSION - 1})
+        digest = hashlib.sha256(blob).hexdigest()
+        (cache / "objects" / f"{digest}.bin").write_bytes(blob)
+        path.write_text(json.dumps({**manifest, "objects": [digest]}))
+        assert self._measure() == measured
+        assert units == [self.PAIR] * 3
+
+    def test_unversioned_payload_evicted(self, cache, units):
+        """Foreign manifests and payloads are remeasured, never raised."""
+        measured = self._measure()
+        path = self._manifest(cache)
+        blob = pickle.dumps(["a", "legacy", "payload"])
+        digest = hashlib.sha256(blob).hexdigest()
+        (cache / "objects" / f"{digest}.bin").write_bytes(blob)
+        foreign = [
+            b'{"not": "a manifest"}',
+            b"\x80\x04 truncated garbage",
+            json.dumps(
+                {**json.loads(path.read_text()), "objects": [digest]}
+            ).encode(),
         ]
-        assert leftovers == []
+        for data in foreign:
+            path.write_bytes(data)
+            assert self._measure() == measured
+        assert units == [self.PAIR] * 4
+
+    def test_store_leaves_no_temp_files(self, cache):
+        self._measure()
+        assert [p for p in cache.rglob("*") if p.suffix == ".tmp"] == []
+
+    def test_hit_in_fresh_process(self, cache):
+        """A pair measured here is a hit in a new process: no
+        ``_measure_unit`` call and no new object file."""
+        measured = self._measure()
+        objects = sorted(p.name for p in (cache / "objects").iterdir())
+        script = (
+            "import dataclasses, json, sys\n"
+            "from repro.core import measure\n"
+            "def refuse(spec):\n"
+            "    raise AssertionError(f'remeasured {spec[:2]}')\n"
+            "measure._measure_unit = refuse\n"
+            "curves = measure.measure_workload(*sys.argv[1:3], jobs=1, "
+            "**json.loads(sys.argv[3]))\n"
+            "print(curves.instructions, curves.wb_stall_per_instr.hex())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, *self.PAIR, json.dumps(SMALL_GRID)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [
+            str(measured.instructions),
+            measured.wb_stall_per_instr.hex(),
+        ]
+        assert sorted(p.name for p in (cache / "objects").iterdir()) == objects
 
 
 class TestParallelMeasurement:

@@ -14,7 +14,7 @@ import pytest
 from repro.core.allocator import DEFAULT_BUDGET_RBES, Allocator
 from repro.core.measure import BenefitCurves, measure_workload
 from repro.errors import BudgetError, RequestError, StoreError
-from repro.service.engine import QueryEngine, maybe_engine, pareto_frontier
+from repro.service.engine import QueryEngine, pareto_frontier
 from repro.store import CurveStore, StoreKey
 from tests.core.oracles import mask_rank, mask_rank_or_empty
 
@@ -260,16 +260,3 @@ class TestQueryApi:
     def test_unknown_os_is_store_error(self, engine):
         with pytest.raises(StoreError, match="ultrix"):
             engine.query({"type": "point", "os": "ultrix", "budget": 250_000})
-
-
-class TestMaybeEngine:
-    def test_none_without_store(self, tmp_path):
-        assert maybe_engine("mach", CurveStore(tmp_path / "nothing")) is None
-
-    def test_engine_with_store(self, store):
-        engine = maybe_engine("mach", store)
-        assert engine is not None
-        assert engine.point("mach", DEFAULT_BUDGET_RBES, limit=1)
-
-    def test_none_for_unserved_os(self, store):
-        assert maybe_engine("ultrix", store) is None

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core import measure
 from repro.core.measure import BenefitCurves, measure_workload
 from repro.errors import ConfigError, StaleStoreError, StoreError, StoreIntegrityError
 from repro.store import SCHEMA_VERSION, CurveStore, StoreKey
@@ -53,7 +54,7 @@ class TestRoundTrip:
         other_key = StoreKey.current("mach", suite=("ousterhout",), seed=2)
         m1 = store.build(curves, key)
         m2 = store.build(curves, other_key)
-        assert m1["object_sha256"] == m2["object_sha256"]
+        assert m1["objects"] == m2["objects"]
         assert len(list((tmp_path / "store" / "objects").glob("*.bin"))) == 1
         assert len(list((tmp_path / "store" / "keys").glob("*.json"))) == 2
 
@@ -93,7 +94,7 @@ class TestValidation:
     def test_corrupt_object_fails_integrity(self, tmp_path, curves, key):
         store = CurveStore(tmp_path / "store")
         manifest = store.build(curves, key)
-        obj = tmp_path / "store" / "objects" / f"{manifest['object_sha256']}.bin"
+        obj = tmp_path / "store" / "objects" / f"{manifest['objects'][0]}.bin"
         data = bytearray(obj.read_bytes())
         data[len(data) // 2] ^= 0xFF
         obj.write_bytes(bytes(data))
@@ -103,7 +104,7 @@ class TestValidation:
     def test_empty_object_is_integrity_error(self, tmp_path, curves, key):
         store = CurveStore(tmp_path / "store")
         manifest = store.build(curves, key)
-        obj = tmp_path / "store" / "objects" / f"{manifest['object_sha256']}.bin"
+        obj = tmp_path / "store" / "objects" / f"{manifest['objects'][0]}.bin"
         obj.write_bytes(b"")
         with pytest.raises(StoreIntegrityError, match="empty"):
             store.load(key, retries=0)
@@ -130,7 +131,7 @@ class TestValidation:
     def test_missing_object_detected(self, tmp_path, curves, key):
         store = CurveStore(tmp_path / "store")
         manifest = store.build(curves, key)
-        (tmp_path / "store" / "objects" / f"{manifest['object_sha256']}.bin").unlink()
+        (tmp_path / "store" / "objects" / f"{manifest['objects'][0]}.bin").unlink()
         with pytest.raises(StoreError, match="missing object"):
             store.load(key)
 
@@ -195,20 +196,18 @@ class TestFindCurrent:
         assert found == key
         assert store.load(found) == curves
 
-    def test_manifest_naming_an_engine_still_served(self, tmp_path, curves, key):
-        """Manifests from builds that recorded the stack-distance engine
-        mode in the key (and hashed it into the file name) still load."""
+    def test_manifest_from_older_build_is_stale(self, tmp_path, curves, key):
+        """A whole-suite manifest of schema 1 is found but refused with
+        the rebuild hint, never served."""
         store = CurveStore(tmp_path / "store")
         manifest = store.build(curves, key)
-        (store.root / "keys" / f"{key.hash()}.json").unlink()
-        manifest["key"] = {**manifest["key"], "engine": "auto"}
-        text = json.dumps(manifest["key"], sort_keys=True, separators=(",", ":"))
-        old_name = hashlib.sha256(text.encode()).hexdigest()[:24]
-        (store.root / "keys" / f"{old_name}.json").write_text(json.dumps(manifest))
+        old = {**manifest, "schema": 1, "object_sha256": manifest["objects"][0]}
+        del old["objects"]
+        store._manifest_path(key).write_text(json.dumps(old))
         found = store.find_current("mach")
         assert found == key
-        assert found.hash() == old_name
-        assert store.load(found) == curves
+        with pytest.raises(StaleStoreError, match="rebuild"):
+            store.load(found)
 
     def test_other_os_not_served(self, tmp_path, curves, key):
         store = CurveStore(tmp_path / "store")
@@ -220,3 +219,27 @@ class TestFindCurrent:
         store.build(curves, key)
         monkeypatch.setenv("REPRO_SCALE", "7.5")
         assert store.find_current("mach") is None
+
+
+class TestBuildForOs:
+    def test_publishes_the_measurement_cache_objects(self, tmp_path, monkeypatch):
+        """The store holds the very pair objects measurement cached, so
+        after a build the suite's curves are measured by nobody."""
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        suite = ("ousterhout", "IOzone")
+        store = CurveStore(tmp_path / "store")
+        manifest = store.build_for_os("mach", suite=suite)
+        assert len(manifest["objects"]) == 2
+        for digest in manifest["objects"]:
+            data = (store.root / "objects" / f"{digest}.bin").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
+            assert (cache / "objects" / f"{digest}.bin").read_bytes() == data
+
+        def refuse(spec):
+            raise AssertionError(f"remeasured {spec[:2]}")
+
+        monkeypatch.setattr(measure, "_measure_unit", refuse)
+        curves = BenefitCurves.for_suite("mach", workloads=suite)
+        assert curves == store.load(store.find_current("mach"))
