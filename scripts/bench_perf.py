@@ -123,6 +123,17 @@ def bench_grid(trace) -> dict:
     reference_s = time.perf_counter() - t0
 
     results: dict = {
+        "method": (
+            "one stack-distance family per line size: one C call per "
+            "chunk steps every set count's carried per-set stacks over "
+            "the byte addresses (shifted in the kernel, a repeat of the "
+            "previous line a depth-0 hit, each walk stopped at the first "
+            "set count where the line is already most recent, no "
+            "per-reference depths written); 'python' is the "
+            "compiler-less fallback (interpreted loop over the same "
+            "family), forced by reporting the C kernels unavailable. "
+            "Best of 3."
+        ),
         "stream": "ifetch",
         "references": int(len(stream)),
         "reference_seconds": round(reference_s, 3),

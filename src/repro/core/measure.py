@@ -185,12 +185,13 @@ def _tlb_table(
 class _StreamingTlbTable:
     """The TLB miss table, fed one chunk of mapped references at a time.
 
-    The warmup boundary and the consecutive-duplicate dedupe (its last
-    id carried across chunk boundaries) accumulate across chunks, and
-    every stack pass carries its state, so the table does not depend on
-    the chunking.  Set-associative points take one pass per distinct
-    set count; the fully-associative points share one single-stack
-    pass.
+    Every point is read off one flagged
+    :class:`~repro.memsim.stackdist.StreamingStackDistance` family: the
+    fully-associative points off its 1-set member, capped at the
+    largest of them, and the set-associative points off one member per
+    distinct set count.  The warmup boundary accumulates across chunks
+    and the family carries its state, so the table does not depend on
+    the chunking.
     """
 
     def __init__(self, entries_list, assocs, full_max_entries: int, warm: int):
@@ -198,59 +199,42 @@ class _StreamingTlbTable:
         self.assocs = assocs
         self.warm = warm
         max_assoc = max(assocs)
-        set_counts = sorted({n // a for n in entries_list for a in assocs if a <= n})
-        self._sims = {
-            n_sets: StreamingStackDistance(n_sets, max_assoc, track_flags=True)
-            for n_sets in set_counts
-        }
+        caps = {n // a: max_assoc for n in entries_list for a in assocs if a <= n}
         self._fa_sizes = [n for n in entries_list if n <= full_max_entries]
-        self._fa_sim = (
-            StreamingStackDistance(1, max(self._fa_sizes), track_flags=True)
-            if self._fa_sizes
-            else None
+        if self._fa_sizes:
+            caps[1] = max(caps.get(1, 0), max(self._fa_sizes))
+        self._set_counts = sorted(caps)
+        self._family = StreamingStackDistance(
+            self._set_counts, [caps[n] for n in self._set_counts], track_flags=True
         )
-        self._last_id = None
 
     def feed(
         self, start: int, positions: np.ndarray, ids: np.ndarray, kernel: np.ndarray
     ) -> None:
-        """Step every pass over the mapped references of the chunk that
+        """Step the family over the mapped references of the chunk that
         begins at reference ``start`` (see
         :func:`~repro.memsim.timing.mapped_page_ids`)."""
-        if not len(positions):
-            return
-        raw_count_from = int((positions < self.warm - start).sum())
-        # Consecutive same-page references are guaranteed hits.
-        keep = np.empty(len(ids), dtype=bool)
-        keep[0] = self._last_id is None or ids[0] != self._last_id
-        np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-        deduped = ids[keep]
-        kernel_d = kernel[keep]
-        deduped_from = int(keep[:raw_count_from].sum())
-        self._last_id = int(ids[-1])
-        for sim in self._sims.values():
-            sim.feed(deduped, kernel_d, count_from=deduped_from)
-        if self._fa_sim is not None:
-            self._fa_sim.feed(deduped, kernel_d, count_from=deduped_from)
+        count_from = int(np.count_nonzero(positions < self.warm - start))
+        self._family.feed(ids, kernel, count_from=count_from, depths=False)
 
     def table(self) -> dict:
         """``(entries, assoc) -> (user_misses, kernel_misses)``."""
         table: dict = {}
-        for n_sets, sim in self._sims.items():
-            misses = sim.miss_counts()
-            kernel_misses = sim.flagged_miss_counts()
+        family = self._family
+        for member, n_sets in enumerate(self._set_counts):
+            misses = family.miss_counts(member)
+            kernel_misses = family.flagged_miss_counts(member)
             for assoc in self.assocs:
                 entries = n_sets * assoc
                 if entries in self.entries_list:
                     total = int(misses[assoc - 1])
                     k = int(kernel_misses[assoc - 1])
                     table[(entries, assoc)] = (total - k, k)
-        if self._fa_sim is not None:
-            sizes = np.asarray(self._fa_sizes, dtype=np.int64)
-            misses = self._fa_sim.miss_counts()[sizes - 1]
-            kernel_misses = self._fa_sim.flagged_miss_counts()[sizes - 1]
-            for size, total, k in zip(self._fa_sizes, misses, kernel_misses):
-                table[(size, FULLY_ASSOCIATIVE)] = (int(total) - int(k), int(k))
+            if n_sets == 1:
+                for size in self._fa_sizes:
+                    total = int(misses[size - 1])
+                    k = int(kernel_misses[size - 1])
+                    table[(size, FULLY_ASSOCIATIVE)] = (total - k, k)
         return table
 
 
@@ -319,7 +303,6 @@ def _use_streaming(references: int) -> bool:
 _POOL_ENV_KEYS = (
     "REPRO_TRACE_CACHE",
     "REPRO_TRACE_CACHE_MAX",
-    "REPRO_CACHE_DIR",
     "REPRO_SCALE",
     "REPRO_STREAM_CHUNK",
     "REPRO_TRACE_COMPRESS",

@@ -4,7 +4,8 @@ This subpackage provides the benefit side of the paper's cost/benefit
 analysis: trace-driven simulators for caches, TLBs and write buffers,
 and a single-pass stack-distance engine (in the spirit of the Cheetah
 simulator the paper cites) that yields miss counts for every
-associativity at a fixed set count in one pass over the trace.
+associativity of a family of nested set counts in one pass over the
+trace.
 """
 
 from repro.memsim.types import AccessKind

@@ -1,8 +1,8 @@
 """On-demand build and loading of the C simulation kernels.
 
-``_native.c`` holds two short C loops: the capped LRU stack-depth pass
-and the write buffer's stall loop.  Each steps state its Python owner
-carries between calls (the per-set stacks of a
+``_native.c`` holds two short C loops: a family of capped LRU
+stack-depth passes and the write buffer's stall loop.  Each steps state
+its Python owner carries between calls (the per-set stacks of a
 :class:`~repro.memsim.stackdist.StreamingStackDistance`, the ring of a
 :class:`~repro.memsim.write_buffer.StreamingWriteBuffer`).  On machines
 with a C compiler both are built once, into one shared library in a
@@ -36,6 +36,12 @@ import tempfile
 import numpy as np
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_native.c")
+_MAX_PASSES = 64
+"""``MAX_PASSES`` in ``_native.c``: the most set counts one family steps."""
+_CFLAGS = ("-O1", "-shared", "-fPIC")
+"""Compiler flags; part of the library's cache key with the source.
+``-O1``: the loops run as fast as at ``-O2`` and build in about two
+thirds of the time, which every fresh build directory pays."""
 
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
@@ -71,7 +77,7 @@ def _compile(source: str, lib_path: str) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp_path, source],
+            [cc, *_CFLAGS, "-o", tmp_path, source],
             capture_output=True,
             text=True,
             timeout=120,
@@ -95,24 +101,28 @@ def _load() -> ctypes.CDLL | None:
     try:
         with open(_SOURCE_PATH, "rb") as fh:
             source_bytes = fh.read()
-        digest = hashlib.sha256(source_bytes).hexdigest()[:16]
+        key = source_bytes + " ".join(_CFLAGS).encode()
+        digest = hashlib.sha256(key).hexdigest()[:16]
         lib_path = os.path.join(_build_dir(), f"repro-native-{digest}.so")
         if not os.path.exists(lib_path):
             _compile(_SOURCE_PATH, lib_path)
         lib = ctypes.CDLL(lib_path)
-        fn = lib.repro_lru_depths
-        fn.restype = None
+        fn = lib.repro_lru_family
+        fn.restype = ctypes.c_int64
         fn.argtypes = [
-            ctypes.c_void_p,  # ids
+            ctypes.c_void_p,  # refs
             ctypes.c_int64,  # n
-            ctypes.c_int64,  # set_mask
-            ctypes.c_int32,  # max_assoc
+            ctypes.c_int32,  # shift
+            ctypes.c_int32,  # passes
+            ctypes.c_void_p,  # set_masks
+            ctypes.c_void_p,  # caps
             ctypes.c_void_p,  # stacks
-            ctypes.c_void_p,  # out
+            ctypes.c_void_p,  # last
             ctypes.c_int64,  # count_from
             ctypes.c_void_p,  # hist
             ctypes.c_void_p,  # flags (may be NULL)
             ctypes.c_void_p,  # flag_hist
+            ctypes.c_void_p,  # out (may be NULL)
         ]
         fn = lib.repro_write_buffer
         fn.restype = ctypes.c_int64
@@ -154,50 +164,80 @@ def _check_int64(name: str, array: np.ndarray, size: int) -> None:
         raise ValueError(f"{name} must be a contiguous int64 array of {size}")
 
 
-def lru_depths(
-    ids: np.ndarray,
+def lru_family(
+    refs: np.ndarray,
+    shift: int,
+    set_masks: np.ndarray,
+    caps: np.ndarray,
     stacks: np.ndarray,
-    out: np.ndarray,
+    last: np.ndarray,
     count_from: int,
     hist: np.ndarray,
     flags: np.ndarray | None = None,
     flag_hist: np.ndarray | None = None,
-) -> None:
-    """Step one (stream, set count) pass through the C LRU loop.
+    out: np.ndarray | None = None,
+) -> bool:
+    """Step a family of set-count passes through the C LRU loop.
 
-    ``stacks`` is the ``(n_sets, max_assoc)`` int64 array the pass
-    carries between calls (each set's stack MRU first, -1 for an empty
-    slot), updated in place.  ``out`` receives every reference's int16
-    depth; the depths of references at index ``>= count_from`` are
-    added into ``hist`` (``max_assoc + 1`` counts), and into
-    ``flag_hist`` too for those whose ``flags`` entry is set.
+    ``refs >> shift`` are the ids.  ``set_masks`` (int64) and ``caps``
+    (int32) describe the passes, set counts ascending in powers of
+    two.  ``stacks``, ``last`` (one int64) and ``hist`` are the state
+    the family carries between calls, laid out as ``_native.c``
+    describes and updated in place: the depths of references at index
+    ``>= count_from`` are added into ``hist``, and into ``flag_hist``
+    too for those whose ``flags`` entry is set.  ``out``, when given,
+    is one row of int16 zeros per pass that receives the depths.
+    Returns False, having stepped nothing, when a reference is
+    negative.
     """
     lib = _require()
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    n_sets, max_assoc = stacks.shape
-    _check_int64("stacks", stacks, n_sets * max_assoc)
-    _check_int64("hist", hist, max_assoc + 1)
-    if out.dtype != np.int16 or not out.flags.c_contiguous or out.size != ids.size:
-        raise ValueError("out must be a contiguous int16 array, one per id")
-    flags_ptr = flag_hist_ptr = None
+    refs = np.ascontiguousarray(refs, dtype=np.int64)
+    n = refs.size
+    passes = caps.size
+    if caps.dtype != np.int32 or not caps.flags.c_contiguous:
+        raise ValueError("caps must be a contiguous int32 array")
+    if not 1 <= passes <= _MAX_PASSES or not 0 <= shift < 63 or not 0 <= count_from <= n:
+        raise ValueError(
+            f"need 1-{_MAX_PASSES} passes, a shift in [0, 63), count_from in [0, n]"
+        )
+    cap_list = caps.tolist()
+    _check_int64("set_masks", set_masks, passes)
+    _check_int64(
+        "stacks",
+        stacks,
+        sum((mask + 1) * cap for mask, cap in zip(set_masks.tolist(), cap_list)),
+    )
+    _check_int64("last", last, 1)
+    _check_int64("hist", hist, sum(cap_list) + passes)
+    flags_ptr = flag_hist_ptr = out_ptr = None
     if flags is not None:
         flags = np.ascontiguousarray(flags, dtype=np.bool_)
-        if flags.size != ids.size:
-            raise ValueError("flags must hold one entry per id")
-        _check_int64("flag_hist", flag_hist, max_assoc + 1)
+        if flags.size != n:
+            raise ValueError("flags must hold one entry per reference")
+        _check_int64("flag_hist", flag_hist, hist.size)
         flags_ptr = flags.ctypes.data
         flag_hist_ptr = flag_hist.ctypes.data
-    lib.repro_lru_depths(
-        ids.ctypes.data,
-        ids.size,
-        n_sets - 1,
-        max_assoc,
-        stacks.ctypes.data,
-        out.ctypes.data,
-        count_from,
-        hist.ctypes.data,
-        flags_ptr,
-        flag_hist_ptr,
+    if out is not None:
+        if out.dtype != np.int16 or not out.flags.c_contiguous or out.size != passes * n:
+            raise ValueError("out must be a contiguous int16 array, passes x refs")
+        out_ptr = out.ctypes.data
+    return (
+        lib.repro_lru_family(
+            refs.ctypes.data,
+            n,
+            shift,
+            passes,
+            set_masks.ctypes.data,
+            caps.ctypes.data,
+            stacks.ctypes.data,
+            last.ctypes.data,
+            count_from,
+            hist.ctypes.data,
+            flags_ptr,
+            flag_hist_ptr,
+            out_ptr,
+        )
+        == 0
     )
 
 

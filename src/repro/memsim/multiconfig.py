@@ -2,16 +2,17 @@
 
 These functions turn one reference stream into miss ratios for a whole
 grid of cache or TLB configurations, exploiting the LRU inclusion
-property so each (line size, set count) pair costs a single pass
-(see :mod:`repro.memsim.stackdist`).  They are the workhorses behind
+property so each line size costs a single pass over the stream (see
+:mod:`repro.memsim.stackdist`).  They are the workhorses behind
 Figures 7-10 and the Table 6/7 allocation sweep.
 
 The grid (:class:`StreamingCacheGrid`) consumes its stream in chunks
-(a materialized stream is one chunk) and feeds each chunk to one
-:class:`~repro.memsim.stackdist.StreamingStackDistance` per (line
-size, set count), capped at the deepest associativity that set count
-actually needs — the largest set counts are only ever direct-mapped or
-2-way in Table 5.  The original interpreted sweep remains as
+(a materialized stream is one chunk) and feeds each chunk, as byte
+addresses, to one :class:`~repro.memsim.stackdist.StreamingStackDistance`
+family per line size: one C call per chunk steps every set count of
+that line size, each capped at the deepest associativity it actually
+needs — the largest set counts are only ever direct-mapped or 2-way in
+Table 5.  The original interpreted sweep remains as
 :func:`cache_miss_ratio_grid_reference` and is held bit-identical by
 the differential test suite.
 """
@@ -149,13 +150,13 @@ class StreamingCacheGrid:
     """A miss-ratio grid fed one address chunk at a time.
 
     The first ``warm`` references prime the stacks without being
-    counted.  Consecutive references to the same line are dropped
-    before simulation (guaranteed hits; the last id is carried across
-    chunk boundaries), and each (line size, set count) pass is one
-    :class:`~repro.memsim.stackdist.StreamingStackDistance`, capped at
-    the deepest associativity that set count needs, which carries its
-    stacks exactly between chunks, so :meth:`result` does not depend
-    on how the stream is chunked.
+    counted.  Each line size is one
+    :class:`~repro.memsim.stackdist.StreamingStackDistance` family over
+    the byte addresses (shifted to line ids in the kernel): one member
+    per set count, each capped at the deepest associativity that set
+    count needs.  The families carry their stacks exactly between
+    chunks, so :meth:`result` does not depend on how the stream is
+    chunked.
     """
 
     def __init__(self, capacities, line_words_list, assocs, warm: int = 0):
@@ -163,7 +164,7 @@ class StreamingCacheGrid:
         self.assocs = list(assocs)
         self.warm = int(warm)
         self.consumed = 0
-        self._lines: dict[int, dict] = {}
+        self._families: dict[int, StreamingStackDistance] = {}
         for line_words in line_words_list:
             line_bytes = line_words * WORD_BYTES
             depth_needed: dict[int, int] = {}
@@ -174,35 +175,21 @@ class StreamingCacheGrid:
                         depth_needed[n_sets] = max(
                             depth_needed.get(n_sets, 0), assoc
                         )
-            self._lines[line_words] = {
-                "depth_needed": depth_needed,
-                "sims": {
-                    n_sets: StreamingStackDistance(n_sets, cap)
-                    for n_sets, cap in depth_needed.items()
-                },
-                "last_id": None,
-                "deduped_counted": 0,
-            }
+            if depth_needed:
+                set_counts = sorted(depth_needed)
+                self._families[line_words] = StreamingStackDistance(
+                    set_counts,
+                    [depth_needed[n] for n in set_counts],
+                    shift=log2i(line_bytes),
+                )
 
     def feed(self, addresses) -> None:
-        """Step every pass over the next chunk of byte addresses."""
+        """Step every family over the next chunk of byte addresses."""
         chunk = np.asarray(addresses, dtype=np.int64)
-        if len(chunk) == 0:
-            return
-        start = self.consumed
+        count_from = self.warm - self.consumed
         self.consumed += len(chunk)
-        raw_count_from = min(max(self.warm - start, 0), len(chunk))
-        for line_words, state in self._lines.items():
-            ids = line_ids_for(chunk, line_words)
-            keep = np.empty(len(ids), dtype=bool)
-            keep[0] = state["last_id"] is None or ids[0] != state["last_id"]
-            np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-            deduped = ids[keep]
-            deduped_count_from = int(keep[:raw_count_from].sum())
-            state["deduped_counted"] += len(deduped) - deduped_count_from
-            state["last_id"] = int(ids[-1])
-            for sim in state["sims"].values():
-                sim.feed(deduped, count_from=deduped_count_from)
+        for family in self._families.values():
+            family.feed(chunk, count_from=count_from, depths=False)
 
     def result(self) -> dict[tuple[int, int, int], float]:
         """Misses per counted reference, keyed like
@@ -211,14 +198,16 @@ class StreamingCacheGrid:
         if self.consumed == 0:
             return grid
         counted_total = self.consumed - self.warm
-        for line_words, state in self._lines.items():
+        for line_words, family in self._families.items():
             line_bytes = line_words * WORD_BYTES
-            for n_sets, cap in sorted(state["depth_needed"].items()):
-                hits = state["sims"][n_sets].hit_counts()
+            for member, (n_sets, cap) in enumerate(
+                zip(family.set_counts, family.caps)
+            ):
+                hits = family.hit_counts(member)
                 for assoc in self.assocs:
                     capacity = n_sets * assoc * line_bytes
                     if assoc <= cap and capacity in self.capacities:
-                        misses = state["deduped_counted"] - int(hits[assoc - 1])
+                        misses = family.counted - int(hits[assoc - 1])
                         grid[(capacity, line_words, assoc)] = misses / counted_total
         return grid
 

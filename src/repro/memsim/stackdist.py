@@ -13,11 +13,19 @@ The same idea with a single global stack gives the full miss-ratio
 curve of a fully-associative structure (used for the TLB study of
 Figure 7: one pass yields misses for every TLB size).
 
-Every pass runs through :class:`StreamingStackDistance`, which feeds
-a stream in chunks (a materialized stream is one chunk) and carries
-each set's stack between them.  The C loop in ``_native.c`` steps
-those stacks and counts the depth histograms; without the C kernels an
-interpreted per-set loop steps the same array.  The original
+Every pass runs through :class:`StreamingStackDistance`, a *family* of
+passes over one id stream: one member per set count, set counts
+ascending in powers of two, each member with its own cap.  It feeds a
+stream in chunks (a materialized stream is one chunk) and carries
+every member's per-set stacks between them.  One C call per chunk
+(``repro_lru_family`` in ``_native.c``) steps the whole family: it
+shifts byte addresses to line ids, counts a repeat of the previous id
+as a depth-0 hit without touching a stack, walks the members from the
+coarsest set count to the finest and stops at the first where the id
+is already most recent (with nested sets it is then most recent in
+every finer one, as Hill & Smith's set refinement shows), and writes
+per-reference depths only when asked.  Without the C kernels an
+interpreted loop steps the same family the same way.  The original
 interpreted sweeps remain as ``*_reference`` oracles, which the
 differential tests hold bit-identical to both.
 """
@@ -151,107 +159,169 @@ def compulsory_miss_count(ids: np.ndarray) -> int:
 
 
 class StreamingStackDistance:
-    """Chunk-streaming LRU stack-distance pass with carried state.
+    """A family of chunk-streaming LRU stack-distance passes over one
+    id stream, with carried state.
 
-    The carried state is the per-set stack array the C loop steps: one
-    row of ``max_assoc`` ids per set, MRU first, -1 marking an empty
-    slot.  Feeding a stream chunk by chunk therefore gives the same
-    depths and histograms as feeding it whole, while holding only one
-    chunk (plus the stacks) in memory.
+    Each pass (a *member*) simulates one set count with its own cap:
+    ``n_sets`` and ``max_assoc`` are an int each for a single pass, or
+    one entry per member (a single ``max_assoc`` is shared).  The set
+    counts ascend in powers of two, so each set of a finer member lies
+    inside one set of every coarser member, and a reference at the
+    front of its set in one member is at the front in every finer one
+    (Hill & Smith's set refinement).  A nonzero ``shift`` turns the fed
+    values (byte addresses) into ids, ``value >> shift``.
+
+    The carried state is the per-set stacks the C loop steps (one row
+    of ``cap`` ids per set, MRU first, -1 marking an empty slot), each
+    member's depth histogram, and the last id fed.  Feeding a stream
+    chunk by chunk therefore gives the same depths and histograms as
+    feeding it whole, while holding only one chunk (plus the stacks)
+    in memory.
 
     ``n_sets == 1`` gives the fully-associative single-stack pass used
     by the TLB study.  With ``track_flags=True`` a per-reference class
     flag is accumulated alongside (the kernel/user miss split).
     """
 
-    def __init__(self, n_sets: int, max_assoc: int, track_flags: bool = False):
-        if n_sets < 1 or n_sets & (n_sets - 1):
-            raise ValueError("n_sets must be a positive power of two")
-        if max_assoc < 1:
+    def __init__(
+        self, n_sets, max_assoc, track_flags: bool = False, shift: int = 0
+    ):
+        self._single = np.ndim(n_sets) == 0
+        counts = self.set_counts = tuple(int(n) for n in np.atleast_1d(n_sets))
+        caps = np.broadcast_to(max_assoc, (len(counts),))
+        self.caps = tuple(int(c) for c in caps)
+        if not counts or any(n < 1 or n & (n - 1) for n in counts) or any(
+            a >= b for a, b in zip(counts, counts[1:])
+        ):
+            raise ValueError("n_sets must be ascending positive powers of two")
+        if min(self.caps) < 1:
             raise ValueError("max_assoc must be >= 1")
-        if max_assoc > MAX_DEPTH_CAP:
+        if max(self.caps) > MAX_DEPTH_CAP:
             raise ValueError(f"max_assoc must be <= {MAX_DEPTH_CAP}")
-        self.n_sets = n_sets
-        self.max_assoc = max_assoc
+        if not 0 <= shift < 63:
+            raise ValueError("shift must be in [0, 63)")
+        self.shift = int(shift)
         self._track_flags = track_flags
-        self._stacks = np.full((n_sets, max_assoc), -1, dtype=np.int64)
-        # Counted references per depth; index max_assoc counts misses.
-        self._hist = np.zeros(max_assoc + 1, dtype=np.int64)
-        self._flag_hist = np.zeros(max_assoc + 1, dtype=np.int64)
+        self._masks = np.array(counts, dtype=np.int64) - 1
+        self._caps = np.array(self.caps, dtype=np.int32)
+        sizes = [n * cap for n, cap in zip(counts, self.caps)]
+        self._stacks = np.full(sum(sizes), -1, dtype=np.int64)
+        self._member_stacks = [
+            part.reshape(n, -1)
+            for part, n in zip(np.split(self._stacks, np.cumsum(sizes)[:-1]), counts)
+        ]
+        # Counted references per depth, member after member; index
+        # ``cap`` of a member counts its misses.
+        self._hist = np.zeros(sum(self.caps) + len(counts), dtype=np.int64)
+        self._flag_hist = np.zeros_like(self._hist)
+        edges = np.cumsum([cap + 1 for cap in self.caps])[:-1]
+        self._hists = np.split(self._hist, edges)
+        self._flag_hists = np.split(self._flag_hist, edges)
+        self._last = np.full(1, -1, dtype=np.int64)
 
     def feed(
         self,
         ids: np.ndarray,
         flags: np.ndarray | None = None,
         count_from: int = 0,
-    ) -> np.ndarray:
-        """Consume one chunk; returns the chunk's per-reference depths.
+        depths: bool = True,
+    ) -> np.ndarray | None:
+        """Consume one chunk; returns its per-reference depths.
 
         ``count_from`` is chunk-relative: references before it warm the
         stacks without being counted in the accumulated histograms.
-        The returned depths cover the whole chunk (a depth equal to
-        ``max_assoc`` is a miss at every tracked associativity), so
+        The returned depths cover the whole chunk (a depth equal to a
+        member's cap is a miss at every associativity it tracks), so
         callers that need per-reference miss flags — the timing unit —
-        can derive them without a second pass.
+        can derive them without a second pass: an ``(n,)`` array for a
+        single pass, one row per member for a family.  With
+        ``depths=False`` none are written and None is returned.
         """
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        refs = np.ascontiguousarray(ids, dtype=np.int64)
         if self._track_flags:
             if flags is None:
                 raise ValueError("flags required when track_flags=True")
             flags = np.ascontiguousarray(flags, dtype=bool)
         else:
             flags = None
-        count_from = min(max(int(count_from), 0), len(ids))
-        depths = np.empty(len(ids), dtype=np.int16)
-        if not len(ids):
-            return depths
-        if int(ids.min()) < 0:
-            raise ValueError("ids must be nonnegative")
-        if _native.available():
-            _native.lru_depths(
-                ids, self._stacks, depths, count_from, self._hist,
-                flags, self._flag_hist,
-            )
-        else:
-            self._feed_scalar(ids, depths)
-            window = depths[count_from:]
-            self._hist += np.bincount(window, minlength=self.max_assoc + 1)
-            if flags is not None:
-                self._flag_hist += np.bincount(
-                    window[flags[count_from:]], minlength=self.max_assoc + 1
-                )
-        return depths
+        n = len(refs)
+        count_from = min(max(int(count_from), 0), n)
+        out = np.zeros((len(self.caps), n), dtype=np.int16) if depths else None
+        if n and _native.available():
+            if not _native.lru_family(
+                refs, self.shift, self._masks, self._caps, self._stacks,
+                self._last, count_from, self._hist, flags, self._flag_hist, out,
+            ):
+                raise ValueError("ids must be nonnegative")
+        elif n:
+            if int(refs.min()) < 0:
+                raise ValueError("ids must be nonnegative")
+            rows = out if out is not None else np.zeros((len(self.caps), n), np.int16)
+            self._feed_scalar(refs, rows)
+            for row, cap, hist, flag_hist in zip(
+                rows, self.caps, self._hists, self._flag_hists
+            ):
+                window = row[count_from:]
+                hist += np.bincount(window, minlength=cap + 1)
+                if flags is not None:
+                    flag_hist += np.bincount(
+                        window[flags[count_from:]], minlength=cap + 1
+                    )
+        if out is None:
+            return None
+        return out[0] if self._single else out
 
-    def _feed_scalar(self, ids: np.ndarray, depths: np.ndarray) -> None:
-        """Step the carried stacks with per-set lists, one ref at a time."""
-        cap = self.max_assoc
-        mask = self.n_sets - 1
-        stacks: dict[int, list[int]] = {}
-        out = []
-        for ref in ids.tolist():
-            set_index = ref & mask
-            stack = stacks.get(set_index)
-            if stack is None:
-                row = self._stacks[set_index].tolist()
-                stack = stacks[set_index] = [x for x in row if x != -1]
-            try:
-                depth = stack.index(ref)
-            except ValueError:
-                out.append(cap)
-                stack.insert(0, ref)
-                if len(stack) > cap:
-                    stack.pop()
-                continue
-            if depth:
-                del stack[depth]
-                stack.insert(0, ref)
-            out.append(depth)
-        depths[:] = out
-        for set_index, stack in stacks.items():
-            self._stacks[set_index, : len(stack)] = stack
+    def _feed_scalar(self, refs: np.ndarray, depths: np.ndarray) -> None:
+        """Step the carried stacks with per-set lists, one member at a
+        time, taking the C loop's two shortcuts (see ``_native.c``) and
+        writing each walked member's depths into ``depths`` (zeros).
+
+        Member by member gives the C loop's reference-by-reference
+        result: a member's stacks see its references in order, and
+        which references reach it depends only on coarser members.
+        """
+        ids = refs >> self.shift
+        fresh = np.empty(len(ids), dtype=bool)
+        fresh[0] = ids[0] != self._last[0]
+        np.not_equal(ids[1:], ids[:-1], out=fresh[1:])
+        self._last[0] = ids[-1]
+        id_list = ids.tolist()
+        # Repeats of the previous id stay at depth 0 in every member.
+        walking = np.flatnonzero(fresh).tolist()
+        for row, n_sets, cap, array in zip(
+            depths, self.set_counts, self.caps, self._member_stacks
+        ):
+            mask = n_sets - 1
+            lists: dict[int, list[int]] = {}
+            moved, moved_depths = [], []
+            for i in walking:
+                ident = id_list[i]
+                set_index = ident & mask
+                stack = lists.get(set_index)
+                if stack is None:
+                    stack = lists[set_index] = [
+                        x for x in array[set_index].tolist() if x != -1
+                    ]
+                if stack and stack[0] == ident:
+                    continue  # most recent here and in every finer set
+                try:
+                    depth = stack.index(ident)
+                    del stack[depth]
+                except ValueError:
+                    depth = cap
+                    if len(stack) == cap:
+                        stack.pop()
+                stack.insert(0, ident)
+                moved.append(i)
+                moved_depths.append(depth)
+            row[moved] = moved_depths
+            for set_index, stack in lists.items():
+                array[set_index, : len(stack)] = stack
+            walking = moved
 
     def export_stacks(self) -> dict[int, list[int]]:
-        """Carried per-set LRU stacks, MRU-first (stateful sets only).
+        """A single pass's carried per-set LRU stacks, MRU-first
+        (stateful sets only).
 
         Together with :meth:`import_stacks` this lets a caller that
         owns equivalent per-set state in another representation — the
@@ -259,52 +329,66 @@ class StreamingStackDistance:
         — round-trip it through this pass and back, so interleaving
         scalar and batched accesses stays bit-identical.
         """
+        array = self._single_pass_stacks()
         stacks: dict[int, list[int]] = {}
-        for set_index in np.flatnonzero(self._stacks[:, 0] != -1).tolist():
-            row = self._stacks[set_index].tolist()
+        for set_index in np.flatnonzero(array[:, 0] != -1).tolist():
+            row = array[set_index].tolist()
             stacks[set_index] = [x for x in row if x != -1]
         return stacks
 
     def import_stacks(self, stacks: dict[int, list[int]]) -> None:
-        """Replace the carried state with per-set MRU-first stacks.
+        """Replace a single pass's carried state with per-set MRU-first
+        stacks.
 
         Each id must map to its claimed set (``id & (n_sets - 1)``);
         stacks deeper than ``max_assoc`` are truncated to the tracked
         depth, exactly as feeding would have capped them.
         """
-        mask = self.n_sets - 1
+        array = self._single_pass_stacks()
+        mask = self.set_counts[0] - 1
         for set_index, stack in stacks.items():
             for ident in stack:
                 if ident < 0 or ident & mask != set_index:
                     raise ValueError(
                         f"id {ident} does not belong to set {set_index}"
                     )
-        self._stacks.fill(-1)
+        array.fill(-1)
         for set_index, stack in stacks.items():
-            stack = stack[: self.max_assoc]
-            self._stacks[set_index, : len(stack)] = stack
+            stack = stack[: self.caps[0]]
+            array[set_index, : len(stack)] = stack
+        # The last id fed need no longer be at the front of its set.
+        self._last[0] = -1
+
+    def _single_pass_stacks(self) -> np.ndarray:
+        """The stacks a single pass trades in and out; a family of
+        several refuses, because imported stacks need not nest."""
+        if len(self.set_counts) > 1:
+            raise ValueError("only a single pass trades its stacks")
+        return self._member_stacks[0]
 
     @property
     def counted(self) -> int:
         """Counted (post-warmup) references fed so far."""
-        return int(self._hist.sum())
+        return int(self._hists[0].sum())
 
     @property
     def flagged_counted(self) -> int:
         """Counted references with the class flag set."""
-        return int(self._flag_hist.sum())
+        return int(self._flag_hists[0].sum())
 
-    def hit_counts(self) -> np.ndarray:
+    def hit_counts(self, member: int = 0) -> np.ndarray:
         """``hits[k-1]`` = counted references hitting k-way (≙ batch)."""
-        return np.cumsum(self._hist[: self.max_assoc])
+        return np.cumsum(self._hists[member][: self.caps[member]])
 
-    def miss_counts(self) -> np.ndarray:
-        """Counted misses per associativity 1..max_assoc."""
-        return self.counted - self.hit_counts()
+    def miss_counts(self, member: int = 0) -> np.ndarray:
+        """Counted misses per associativity 1..cap of a member."""
+        return self.counted - self.hit_counts(member)
 
-    def flagged_miss_counts(self) -> np.ndarray:
-        """Counted flagged-class misses per associativity."""
-        return self.flagged_counted - np.cumsum(self._flag_hist[: self.max_assoc])
+    def flagged_miss_counts(self, member: int = 0) -> np.ndarray:
+        """Counted flagged-class misses per associativity of a member."""
+        return self.flagged_counted - np.cumsum(
+            self._flag_hists[member][: self.caps[member]]
+        )
 
 
 def set_associative_miss_split_reference(

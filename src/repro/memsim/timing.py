@@ -24,11 +24,10 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.memsim.multiconfig import line_ids_for
 from repro.memsim.stackdist import StreamingStackDistance
 from repro.memsim.types import AccessKind
 from repro.memsim.write_buffer import StreamingWriteBuffer
-from repro.units import PAGE_SHIFT, VPN_BITS, WORD_BYTES
+from repro.units import PAGE_SHIFT, VPN_BITS, WORD_BYTES, log2i
 
 if TYPE_CHECKING:  # avoid a circular import; traces import memsim types
     from repro.trace.events import ReferenceTrace
@@ -237,8 +236,16 @@ class StreamingSystemTiming:
         else:
             self._t_ways = int(config.tlb_assoc)
             t_sets = config.tlb_entries // self._t_ways
-        self._i_sim = StreamingStackDistance(i_sets, config.icache_assoc)
-        self._d_sim = StreamingStackDistance(d_sets, config.dcache_assoc)
+        self._i_sim = StreamingStackDistance(
+            i_sets,
+            config.icache_assoc,
+            shift=log2i(config.icache_line_words * WORD_BYTES),
+        )
+        self._d_sim = StreamingStackDistance(
+            d_sets,
+            config.dcache_assoc,
+            shift=log2i(config.dcache_line_words * WORD_BYTES),
+        )
         self._t_sim = StreamingStackDistance(t_sets, self._t_ways)
         self._wb_sim = StreamingWriteBuffer(
             depth=config.wb_depth, retire_cycles=config.wb_retire_cycles
@@ -264,18 +271,14 @@ class StreamingSystemTiming:
 
         ifetch_idx = index.ifetch
         # A depth at the cap is a miss.
-        i_miss = self._i_sim.feed(
-            line_ids_for(physical[ifetch_idx], config.icache_line_words)
-        ) == config.icache_assoc
+        i_miss = self._i_sim.feed(physical[ifetch_idx]) == config.icache_assoc
         penalties[ifetch_idx[i_miss]] += self._i_penalty
         measured_i = ifetch_idx >= local_warm
         self.instructions += int(measured_i.sum())
         self.icache_misses += int(i_miss[measured_i].sum())
 
         load_idx = index.load
-        d_miss = self._d_sim.feed(
-            line_ids_for(physical[load_idx], config.dcache_line_words)
-        ) == config.dcache_assoc
+        d_miss = self._d_sim.feed(physical[load_idx]) == config.dcache_assoc
         penalties[load_idx[d_miss]] += self._d_penalty
         self.dcache_misses += int(d_miss[load_idx >= local_warm].sum())
 

@@ -126,6 +126,16 @@ class TestPersistentPool:
         finally:
             shutdown_measurement_pool()
 
+    def test_cache_dir_change_keeps_the_pool(self, plane, tmp_path, monkeypatch):
+        """Workers never read the measurement cache (the parent loads
+        and publishes every pair), so moving it keeps the warm pool."""
+        try:
+            first = _measurement_pool(2)
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "other-cache"))
+            assert _measurement_pool(2) is first
+        finally:
+            shutdown_measurement_pool()
+
     def test_shutdown_is_idempotent(self):
         shutdown_measurement_pool()
         shutdown_measurement_pool()
